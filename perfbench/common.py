@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import statistics
 import sys
+import time
 from pathlib import Path
 from typing import Any
 
@@ -73,6 +75,52 @@ LAYER_UNITS = {
 DETERMINISTIC_LAYERS = tuple(
     name for name, unit in LAYER_UNITS.items() if unit == "count"
 ) + ("trap.quantum_seconds",)
+
+
+#: CPU seconds of one ``reference_s`` loop timed between diagnosis
+#: sessions in the first scaled runs on the 2-core VM this benchmark was
+#: built on.  Timings are reported scaled to that host speed; the value
+#: only fixes the unit.
+REFERENCE_S = 0.03
+
+
+def reference_s() -> float:
+    """CPU seconds of one run of a fixed loop of Python and small numpy work.
+
+    The host this benchmark runs on changes speed by up to a factor of
+    two within a minute, for every process on it alike.  Timing this
+    loop alongside a measurement shows how fast the host was meanwhile.
+    """
+    import numpy as np
+
+    start = time.process_time()
+    acc, ramp = 0.0, np.arange(64.0)
+    for i in range(4000):
+        acc += sum({j: j * i for j in range(16)}.values())
+        acc += float((ramp * (i % 7)).sum())
+    return time.process_time() - start
+
+
+class HostSpeed:
+    """Reference-loop timings taken alongside one measurement."""
+
+    def __init__(self) -> None:
+        self.samples: list[tuple[float, float]] = []  # (perf_counter, CPU s)
+
+    def sample(self, times: int = 1) -> None:
+        """Time the reference loop ``times`` times."""
+        for _ in range(times):
+            self.samples.append((time.perf_counter(), reference_s()))
+
+    def factor(self, at: float | None = None, within: float = 0.0) -> float:
+        """Scale that takes a time measured meanwhile to the nominal host.
+
+        With ``at`` (a ``perf_counter`` reading), only the timings taken
+        within ``within`` seconds of it count, if there are any: the
+        host's speed drifts within a run too.
+        """
+        near = [s for t, s in self.samples if at is not None and abs(t - at) <= within]
+        return REFERENCE_S / statistics.median(near or [s for _, s in self.samples])
 
 
 def percentile(values: list[float], q: float) -> float:

@@ -1,4 +1,4 @@
-"""diagnose-small and diagnose-large: closed-loop arena diagnosis sessions.
+"""diagnose-small: closed-loop arena diagnosis sessions at N = 6 and 8.
 
 One thread runs arena sessions back to back through
 ``repro.arena.diagnosers.run_bounded``, exactly as the arena and the
@@ -7,20 +7,24 @@ seeding, the cell's calibrated context, one bounded diagnosis.
 
 Time is the process's CPU time (``time.process_time``), not wall time.
 The sessions do no I/O and wait for nothing, so their CPU time is their
-cost; wall time adds only the time the host's hypervisor took the
-virtual CPU away.  On the 2-core VM this benchmark was built on, a fixed
-CPU-bound loop took 0.54-1.23 s of wall time but 0.54-0.75 s of CPU
-time.  Wall-time figures are printed beside the CPU ones.  Work moved
-into another process would escape the measure, so a run in which a
-child process used CPU during the timed loop is marked incorrect.
+cost.  Work moved into another process would escape the measure, so a
+run in which a child process used CPU during the timed loop is marked
+incorrect.  Wall-time figures are printed beside the CPU ones.
 
-The session design is balanced.  A *round* runs every (cell, strategy)
-pair once, in an order and with trial indices drawn from the workload
-seed; a run executes whole rounds until ``--seconds`` have passed, and
-at least ``COUNTED_ROUNDS`` of them.  The model metrics (accuracy, shots
-and simulated seconds per diagnosis) and the per-layer figures cover the
-main process's set-up plus the first ``COUNTED_ROUNDS`` rounds only, so
-they are the same for a seed whatever the host's speed.
+A *pass* runs every trial of every (cell, strategy) pair once, in an
+order drawn from the workload seed; the seed also seeds the arena, so
+it sets the calibration and every trial machine.  A run repeats the
+pass until ``--seconds`` have passed, and makes at least ``MIN_PASSES``
+of them.  Each session's CPU time is scaled to the nominal host speed
+by the reference loop timed within two seconds of it (see
+``common.reference_s``).  Every pass but the first, which warms the
+per-cell caches up, gives a median, a tail and a throughput; the run
+reports the median of each over those passes.  Covering every trial
+makes the cost distribution the same for every seed to within a few
+per cent.  The model metrics (accuracy, shots and simulated seconds per
+diagnosis) and the per-layer figures cover the main process's set-up
+plus the first pass only, so they are the same for a seed whatever the
+host's speed; later passes must reproduce every diagnosis of the first.
 """
 
 from __future__ import annotations
@@ -39,46 +43,34 @@ from typing import Any
 import common
 import layers
 
-#: (N, scenario kind) cells of each workload.
-CELLS = {
-    "diagnose-small": tuple(
-        (n, kind)
-        for n in (6, 8)
-        for kind in (
-            "static-under-rotation",
-            "over-rotation",
-            "correlated-burst",
-            "drifting-magnitude",
-            "phase-miscalibration",
-            "asymmetric-spam",
-        )
-    ),
-    # N = 32 holds the static kind only: with the burst kind as well the
-    # process peaked at 4.4 GB on a 7 GB machine.
-    "diagnose-large": tuple(
-        (24, kind)
-        for kind in (
-            "static-under-rotation",
-            "correlated-burst",
-            "phase-miscalibration",
-            "asymmetric-spam",
-        )
+#: (N, scenario kind) cells of the workload.
+CELLS = tuple(
+    (n, kind)
+    for n in (6, 8)
+    for kind in (
+        "static-under-rotation",
+        "over-rotation",
+        "correlated-burst",
+        "drifting-magnitude",
+        "phase-miscalibration",
+        "asymmetric-spam",
     )
-    + ((32, "static-under-rotation"),),
-}
+)
 
-#: Rounds that every run completes and that the model metrics and the
-#: per-layer figures cover.
-COUNTED_ROUNDS = {"diagnose-small": 4, "diagnose-large": 1}
+#: Passes every run makes; more run while ``--seconds`` allow.  The first
+#: pass warms the per-cell caches up and is not timed.
+MIN_PASSES = 3
 
 #: Set-ups per run (the main process plus fresh child processes); the
-#: reported ``setup_s`` is their median.  diagnose-large sets up twice
-#: only: one set-up there takes 9-17 s.
-SETUP_REPEATS = {"diagnose-small": 3, "diagnose-large": 2}
+#: reported ``setup_s`` is their median.
+SETUP_REPEATS = 5
 
-#: Sessions of the first round re-run after the timed loop, to check
-#: that a diagnosis is a function of its inputs.
-REPLAYS = 3
+#: Sessions between two timings of the host-speed reference loop.
+REFERENCE_EVERY = 20
+#: A session is scaled by the reference timings this many seconds around it.
+REFERENCE_WITHIN_S = 2.0
+#: Reference timings right after each set-up.
+SETUP_REFERENCES = 9
 
 
 @dataclass
@@ -121,20 +113,22 @@ def calibrated_cell(cfg: Any, n_qubits: int, kind: str) -> Cell:
     )
 
 
-def setup(workload: str, seed: int) -> tuple[Any, list[Cell]]:
+def setup(seed: int) -> tuple[Any, list[Cell]]:
     """Import the program and calibrate every cell of the workload."""
     cfg = arena_config(seed)
-    return cfg, [calibrated_cell(cfg, n, kind) for n, kind in CELLS[workload]]
+    return cfg, [calibrated_cell(cfg, n, kind) for n, kind in CELLS]
 
 
-def rounds(workload: str, seed: int, cells: list[Cell], trials: int):
-    """Endless balanced rounds of ``(cell, strategy, trial)`` sessions."""
-    rng = random.Random(f"{workload}/{seed}")
-    pairs = [(cell, strategy) for cell in cells for strategy in cell.diagnosers]
-    while True:
-        order = pairs[:]
-        rng.shuffle(order)
-        yield [(cell, strategy, rng.randrange(trials)) for cell, strategy in order]
+def session_plan(seed: int, cells: list[Cell], trials: int):
+    """Every ``(cell, strategy, trial)`` session of a pass, in seeded order."""
+    sessions = [
+        (cell, strategy, trial)
+        for cell in cells
+        for strategy in cell.diagnosers
+        for trial in range(trials)
+    ]
+    random.Random(f"diagnose-small/{seed}").shuffle(sessions)
+    return sessions
 
 
 def run_session(cfg: Any, cell: Cell, strategy: str, trial: int):
@@ -175,10 +169,18 @@ def _children_cpu() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def _setup_children(args: Any) -> list[float]:
-    """Repeat the set-up in fresh processes; their set-up CPU times."""
+def _timed_setup() -> dict[str, Any]:
+    """This process's CPU time so far, and reference timings taken after."""
+    cpu = time.process_time()
+    speed = common.HostSpeed()
+    speed.sample(SETUP_REFERENCES)
+    return {"cpu_s": cpu, "references": speed.samples}
+
+
+def _setup_children(args: Any) -> list[dict[str, Any]]:
+    """Repeat the set-up in fresh processes; their ``_timed_setup`` records."""
     samples = []
-    for _ in range(SETUP_REPEATS[args.workload] - 1):
+    for _ in range(SETUP_REPEATS - 1):
         out = subprocess.run(
             [
                 sys.executable,
@@ -194,12 +196,12 @@ def _setup_children(args: Any) -> list[float]:
             text=True,
             timeout=170,
         )
-        samples.append(json.loads(out.stdout.strip().splitlines()[-1])["setup_s"])
+        samples.append(json.loads(out.stdout.strip().splitlines()[-1]))
     return samples
 
 
 def run(args: Any, workdir: Path) -> int:
-    """Run a diagnose workload; print its report; return the exit code."""
+    """Run diagnose-small; print its report; return the exit code."""
     from repro.arena.scoring import grade_trial, score_trial
     from repro.sim.xx_engine import spin_table_cache_info
 
@@ -207,55 +209,56 @@ def run(args: Any, workdir: Path) -> int:
         tracer = layers.Tracer()
         if args.trace:
             layers.install_diagnosis_layers(tracer)
-        setup(args.workload, args.seed)
-        print(json.dumps({"setup_s": time.process_time()}))
+        setup(args.seed)
+        print(json.dumps(_timed_setup()))
         return 0
 
     child_setups = _setup_children(args)
     tracer = layers.Tracer()
     if args.trace:
         layers.install_diagnosis_layers(tracer)
-    cfg, cells = setup(args.workload, args.seed)
-    setup_samples = [time.process_time(), *child_setups]
+    cfg, cells = setup(args.seed)
+    setups = [_timed_setup(), *child_setups]
+    setup_speed = common.HostSpeed()
+    for record in setups:
+        setup_speed.samples += record["references"]
+    setup_samples = [record["cpu_s"] for record in setups]
     spin_bytes = lambda: spin_table_cache_info()["total_bytes"]  # noqa: E731
     tracer.peak("sim.xx.spin_table_bytes", spin_bytes())
 
-    counted = COUNTED_ROUNDS[args.workload]
     hi = cfg.detect_floor * (1.0 + cfg.ambiguity)
-    latencies: list[float] = []  # CPU seconds per session
-    walls: list[float] = []
+    sessions = session_plan(args.seed, cells, cfg.trials)
+    inf = float("inf")
+    first = [None] * len(sessions)  # first-pass diagnosis per session
     failures: dict[tuple[str, str], int] = {}
     problems: list[str] = []
-    scores = []  # counted rounds only
-    first_round = []
+    scores = []  # first pass only
     snapshot = None
-    done = 0
+    passes = 0
+    per_pass = []  # (scaled CPU seconds per session, completed flags, unscaled p50)
     children_before = _children_cpu()
     loop_wall, loop_cpu = time.perf_counter(), time.process_time()
-    for plan in rounds(args.workload, args.seed, cells, cfg.trials):
-        if done >= counted and time.perf_counter() - loop_wall >= args.seconds:
-            break
-        for cell, strategy, trial in plan:
+    while passes < MIN_PASSES or time.perf_counter() - loop_wall < args.seconds:
+        speed = common.HostSpeed()
+        measured: list[tuple[float, float, bool]] = []  # (start, CPU s, completed)
+        for i, (cell, strategy, trial) in enumerate(sessions):
+            if i % REFERENCE_EVERY == 0:
+                speed.sample()
+            where = f"N={cell.n_qubits} {cell.kind} {strategy}"
             t0, c0 = time.perf_counter(), time.process_time()
             try:
                 machine, diagnosis, wall = run_session(cfg, cell, strategy, trial)
             except Exception as exc:  # noqa: BLE001 — counted, logged, run goes on
-                latencies.append(float("inf"))
-                walls.append(float("inf"))
-                key = (f"N={cell.n_qubits} {cell.kind} {strategy}", f"{type(exc).__name__}: {exc}")
+                measured.append((t0, time.process_time() - c0, False))
+                key = (where, f"{type(exc).__name__}: {exc}")
                 failures[key] = failures.get(key, 0) + 1
                 continue
-            latency = time.process_time() - c0
+            measured.append((t0, time.process_time() - c0, not diagnosis.timed_out))
             if diagnosis.timed_out:
-                latencies.append(float("inf"))
-                walls.append(float("inf"))
-                key = (f"N={cell.n_qubits} {cell.kind} {strategy}", "timed out")
-                failures[key] = failures.get(key, 0) + 1
-            else:
-                latencies.append(latency)
-                walls.append(time.perf_counter() - t0)
-            problems += check_session(cell, strategy, machine, diagnosis)
-            if done < counted:
+                failures[(where, "timed out")] = failures.get((where, "timed out"), 0) + 1
+            if passes == 0:
+                problems += check_session(cell, strategy, machine, diagnosis)
+                first[i] = diagnosis
                 truth_kind = grade_trial(
                     cell.spec.top_severity(trial), cfg.detect_floor, cfg.ambiguity
                 )
@@ -263,56 +266,75 @@ def run(args: Any, workdir: Path) -> int:
                 scores.append(score_trial(diagnosis, truth, truth_kind, wall))
                 layers.add_machine_stats(tracer, machine.stats)
                 tracer.peak("sim.xx.spin_table_bytes", spin_bytes())
-            if done == 0:
-                first_round.append((latency, cell, strategy, trial, diagnosis))
-        done += 1
-        if done == counted:
+            elif diagnosis != first[i]:
+                problems.append(f"{where} trial {trial}: pass {passes + 1} diagnosis differs")
+        speed.sample()
+        scaled = [s * speed.factor(t, REFERENCE_WITHIN_S) for t, s, _ in measured]
+        completed = [ok for _, _, ok in measured]
+        raw_p50 = common.percentile([s for _, s, _ in measured], 50.0)
+        per_pass.append((scaled, completed, raw_p50))
+        passes += 1
+        if passes == 1:
             snapshot = tracer.snapshot()
     elapsed_cpu = time.process_time() - loop_cpu
     elapsed_wall = time.perf_counter() - loop_wall
     if _children_cpu() != children_before:
         problems.append("a child process used CPU during the timed loop")
 
-    # Determinism: the cheapest first-round sessions, re-run, must agree.
-    for _, cell, strategy, trial, diagnosis in sorted(first_round, key=lambda r: r[0])[:REPLAYS]:
-        _, again, _ = run_session(cfg, cell, strategy, trial)
-        if again != diagnosis:
-            problems.append(
-                f"N={cell.n_qubits} {cell.kind} {strategy} trial {trial}: "
-                "re-run diagnosis differs"
-            )
-
-    attempted = len(latencies)
+    attempted = len(sessions) * passes
     failed = sum(failures.values())
     graded = [s.correct for s in scores if s.correct is not None]
-    totals = snapshot["counters"]  # MachineStats sums of counted sessions
+    totals = snapshot["counters"]  # MachineStats sums of first-pass sessions
     diagnosed = len(scores)
-    q, tail_value, beyond = common.tail(latencies)
+    q, _, beyond = common.tail(per_pass[0][0])  # which percentile is the tail
+    stats = []  # per timed pass: scaled p50, tail and throughput, unscaled p50
+    for scaled, completed, raw_p50 in per_pass[1:]:
+        latencies = [s if ok else inf for s, ok in zip(scaled, completed)]
+        stats.append(
+            (
+                common.percentile(latencies, 50.0),
+                common.percentile(latencies, q),
+                len(sessions) / sum(scaled),
+                raw_p50,
+            )
+        )
     e2e = {
-        "setup_s": statistics.median(setup_samples),
-        "p50_s": common.percentile(latencies, 50.0),
-        "tail_s": tail_value,
-        "ops_per_s": attempted / elapsed_cpu,
+        "setup_s": statistics.median(setup_samples) * setup_speed.factor(),
+        "p50_s": statistics.median(p50 for p50, _, _, _ in stats),
+        "tail_s": statistics.median(tail for _, tail, _, _ in stats),
+        "ops_per_s": statistics.median(ops for _, _, ops, _ in stats),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "accuracy": sum(graded) / len(graded) if graded else 0.0,
         "shots_per_diag": totals["trap.shots"] / diagnosed,
         "sim_seconds_per_diag": totals["trap.quantum_seconds"] / diagnosed,
     }
     print(
-        f"rounds={done} sessions={attempted} counted_sessions={diagnosed} "
+        f"passes={passes} sessions_per_pass={len(sessions)} attempted={attempted} "
         f"graded={len(graded)} loop_wall_s={elapsed_wall:.3f} loop_cpu_s={elapsed_cpu:.3f}"
     )
-    print("setup samples (CPU s): " + " ".join(f"{s:.4f}" for s in setup_samples))
+    for k, (p50, tail, ops, raw_p50) in enumerate(stats, 2):
+        print(
+            f"pass {k}: scaled p50 {p50:.6g} s (unscaled {raw_p50:.6g} s), "
+            f"p{q:g} {tail:.6g} s, {ops:.6g} sessions per scaled CPU second"
+        )
+    print(
+        "setup samples (CPU s): " + " ".join(f"{s:.4f}" for s in setup_samples)
+        + f"; host-speed scale {setup_speed.factor():.3f}"
+    )
     common.print_e2e(
         e2e,
         {
-            "setup_s": f"(CPU; median of {len(setup_samples)} set-ups)",
-            "p50_s": f"(CPU; wall {common.percentile(walls, 50.0):.6g} s)",
+            "setup_s": f"(scaled median CPU of {len(setup_samples)} set-ups)",
+            "p50_s": f"(scaled CPU; median of passes 2-{passes})",
             "tail_s": (
-                f"(CPU, p{q:g}, {beyond} of {attempted} samples beyond it; "
-                f"wall {common.percentile(walls, q):.6g} s)"
+                f"(scaled CPU, p{q:g}, {beyond} of {len(sessions)} sessions beyond it; "
+                f"median of passes 2-{passes})"
             ),
-            "ops_per_s": f"(per CPU second; {attempted / elapsed_wall:.6g} per wall second)",
+            "ops_per_s": (
+                f"(per scaled CPU second, median of passes 2-{passes}; unscaled "
+                f"{attempted / elapsed_cpu:.6g} per CPU second, "
+                f"{attempted / elapsed_wall:.6g} per wall second over the run)"
+            ),
         },
     )
     print(f"  {'fail_ratio':<22} {failed / attempted:.6g} ratio  ({failed} of {attempted})")
@@ -332,11 +354,11 @@ def run(args: Any, workdir: Path) -> int:
                 "trap.dense_plan.rebinds",
             )
         },
-        f"work counts (MachineStats sums over {diagnosed} counted sessions):",
+        f"work counts (MachineStats sums over the {diagnosed} first-pass sessions):",
     )
     layer_values = None
     if args.trace:
         layer_values = layers.diagnosis_layer_metrics(snapshot)
-        common.print_layers(layer_values, "per-layer (set-up + counted rounds):")
+        common.print_layers(layer_values, "per-layer (set-up + first pass):")
     history = common.History(workdir, args.workload, args.seed, args.seconds)
     return common.finish(history, args.trace, e2e, layer_values, problems, attempted, failed)

@@ -2,17 +2,15 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload diagnose-small --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload diagnose-small --seed 1 --seconds 30 --trace 0
 
 Workloads (see ``perfbench/README.md`` for why each was chosen):
 
 ``diagnose-small``
     Closed-loop arena diagnosis sessions at N = 6 and 8, one thread.
-``diagnose-large``
-    The same session design at N = 24 and 32.
 ``service-mix``
     ``python -m repro serve --workers 2`` on localhost, driven over HTTP
-    by seeded open-loop arrivals of a mixed job stream.
+    by fixed-rate open-loop arrivals of a seeded mixed job stream.
 
 Every run prints human-readable tables and ends with one JSON line:
 ``{"correct", "attempted", "failed", "metrics"}``.  ``--trace 0``
@@ -36,8 +34,8 @@ from pathlib import Path
 BLAS_THREADS = "1"
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = BLAS_THREADS
-# numpy asks for transparent huge pages on large arrays by default; with
-# that on, diagnose-large's peak RSS moved by 400 MB between runs.
+# numpy asks for transparent huge pages on large arrays by default, which
+# makes peak RSS depend on the state of the host's memory.
 os.environ["NUMPY_MADVISE_HUGEPAGE"] = "0"
 
 HERE = Path(__file__).resolve().parent
@@ -46,7 +44,7 @@ SRC = ROOT / "src"
 #: Scratch space of the benchmark inside the checkout (ignored by git).
 WORKDIR = ROOT / ".perfbench"
 
-WORKLOADS = ("diagnose-small", "diagnose-large", "service-mix")
+WORKLOADS = ("diagnose-small", "service-mix")
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:

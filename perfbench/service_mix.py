@@ -1,10 +1,15 @@
 """service-mix: the diagnosis service under a seeded open-loop job stream.
 
 ``python -m repro serve --workers 2`` runs on localhost; this process is
-its only client.  Jobs arrive on a schedule drawn from the seed, whether
-or not earlier ones have finished (an open loop): Poisson arrivals at
-``JOBS_PER_S`` jobs a second, over a window ``--seconds`` long but never
-holding fewer than ``MIN_JOBS`` jobs.  The mix and its reasons:
+its only client.  Jobs arrive on a fixed schedule, whether or not
+earlier ones have finished (an open loop): one every ``1/JOBS_PER_S``
+seconds, over a window ``--seconds`` long but never holding fewer than
+``MIN_JOBS`` jobs.  Evenly spaced arrivals keep the queue the same from
+seed to seed; Poisson arrivals at the same rate queue each seed's
+bursts differently, and with them the median latency spread by 28-33 %
+over ten seeds.  The seed draws the order of the job kinds, the
+namespaces, the diagnosis cells and trials, and the fresh experiment
+seeds.  The mix and its reasons:
 
 * ``diagnose`` (60 %): one arena session at N = 8 per job.  Every job
   forks a worker, loads the experiment registry and recalibrates its
@@ -25,6 +30,7 @@ caches) is repeated ``SETUP_REPEATS`` times; the last server stays up.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import select
@@ -45,13 +51,24 @@ import diagnose
 #: Offered load: about half of what the two workers can serve at the
 #: seed commit on two cores, so the queue stays short (see README.md).
 JOBS_PER_S = 2.5
-MIN_JOBS = 80
+#: 150 jobs hold 90 diagnoses, every (kind, strategy) cell three times,
+#: and put 15 jobs beyond the p90 that ``tail_s`` reports.
+MIN_JOBS = 150
 MIX = (("diagnose", 0.60), ("cached", 0.25), ("fresh", 0.10), ("sleep", 0.05))
 NAMESPACES = ("tenant-a", "tenant-b")
 CACHED_EXPERIMENTS = ("fig3", "fig6")
 FRESH_EXPERIMENT = "fig6"
 DIAGNOSE_N = 8
-SETUP_REPEATS = 3
+WORKERS = 2
+SETUP_REPEATS = 5
+#: Reference timings right after each set-up.
+SETUP_REFERENCES = 9
+#: Least idle time before the next due job that the client spends on one
+#: timing of the host-speed reference loop.
+REFERENCE_GAP_S = 0.15
+#: A job's latency is scaled by the reference timings this many seconds
+#: around the middle of its run.
+REFERENCE_WITHIN_S = 3.0
 DRAIN_TIMEOUT_S = 60.0
 RSS_SAMPLE_S = 0.05
 
@@ -67,6 +84,7 @@ class Job:
     offset: float
     job_id: str | None = None
     due_unix: float = 0.0
+    due_clock: float = 0.0  # the same moment on the perf_counter clock
     done_unix: float | None = None
     state: str = "unsubmitted"
 
@@ -85,8 +103,7 @@ def plan(seed: int, seconds: int) -> list[Job]:
     rng.shuffle(labels)
     namespaces = [NAMESPACES[i % len(NAMESPACES)] for i in range(total)]
     rng.shuffle(namespaces)
-    # A Poisson process conditioned on its count: uniform, sorted times.
-    offsets = sorted(rng.uniform(0.0, total / JOBS_PER_S) for _ in range(total))
+    offsets = [i / JOBS_PER_S for i in range(total)]
     # Diagnoses cycle through every (kind, strategy) cell in a seeded order,
     # so each cell appears equally often (give or take one).
     cells = [(kind, strategy) for kind in SCENARIO_KINDS for strategy in STRATEGY_NAMES]
@@ -127,7 +144,7 @@ class Server:
     """A ``repro serve`` child process on an ephemeral localhost port."""
 
     def __init__(self, root: Path, checkout: Path, trace_out: Path | None):
-        serve = ["serve", "--root", str(root), "--port", "0", "--workers", "2", "--quiet"]
+        serve = ["serve", "--root", str(root), "--port", "0", "--workers", str(WORKERS), "--quiet"]
         if trace_out is None:
             cmd = [sys.executable, "-m", "repro", *serve]
         else:
@@ -166,46 +183,63 @@ class Server:
         self.log.close()
 
 
-def _tree_rss_bytes(pid: int) -> int:
-    """Proportional resident bytes (PSS) of ``pid`` and its descendants.
+def _rollup(pid: int) -> tuple[int, int]:
+    """Resident and private resident bytes of ``pid`` (0, 0 once it is gone)."""
+    fields = {}
+    try:
+        with open(f"/proc/{pid}/smaps_rollup") as fh:
+            for line in fh:
+                name, _, rest = line.partition(":")
+                if name in ("Rss", "Private_Clean", "Private_Dirty"):
+                    fields[name] = int(rest.split()[0]) * 1024
+    except (OSError, ValueError):
+        pass  # the process ended, or is a zombie without mappings
+    return fields.get("Rss", 0), fields.get("Private_Clean", 0) + fields.get("Private_Dirty", 0)
 
-    PSS splits pages shared after a fork among the processes sharing
-    them; plain RSS would count the server's pages once per forked
-    worker, and the sum would swing with how many forks were alive.
-    """
-    total, todo = 0, [pid]
+
+def _descendants(pid: int) -> list[int]:
+    """Every live descendant of ``pid``."""
+    found, todo = [], [pid]
     while todo:
         p = todo.pop()
         try:
-            with open(f"/proc/{p}/smaps_rollup") as fh:
-                total += next(  # a zombie has no mappings, hence no Pss line
-                    (int(line.split()[1]) * 1024 for line in fh if line.startswith("Pss:")),
-                    0,
-                )
             for task in os.listdir(f"/proc/{p}/task"):
                 with open(f"/proc/{p}/task/{task}/children") as fh:
-                    todo += [int(c) for c in fh.read().split()]
+                    kids = [int(c) for c in fh.read().split()]
+                found += kids
+                todo += kids
         except (OSError, ValueError):
             continue  # the process ended between listing and reading
-    return total
+    return found
 
 
 class RssSampler(threading.Thread):
-    """Peak memory (PSS) of a process tree, sampled in the background."""
+    """Peak memory of the server tree with every worker slot busy.
+
+    Sampled in the background: the peak resident size of the server
+    process, plus ``WORKERS`` times the largest private resident size any
+    worker reached.  A worker shares the pages it forked from the server,
+    so its private pages are what it adds.  Summing the tree at each
+    sample instead read 67-106 MB from run to run, depending on whether
+    a sample caught two workers at once.
+    """
 
     def __init__(self, pid: int):
         super().__init__(daemon=True)
-        self.pid, self.peak = pid, 0
+        self.pid, self.server_peak, self.worker_peak = pid, 0, 0
         self._halt = threading.Event()
 
     def run(self) -> None:
         while not self._halt.wait(RSS_SAMPLE_S):
-            self.peak = max(self.peak, _tree_rss_bytes(self.pid))
+            self.server_peak = max(self.server_peak, _rollup(self.pid)[0])
+            for child in _descendants(self.pid):
+                self.worker_peak = max(self.worker_peak, _rollup(child)[1])
 
     def stop(self) -> int:
+        """Stop sampling; the peak in bytes."""
         self._halt.set()
         self.join()
-        return self.peak
+        return self.server_peak + WORKERS * self.worker_peak
 
 
 def _setup(root: Path, checkout: Path, trace_out: Path | None) -> tuple[Server, dict]:
@@ -251,17 +285,23 @@ def _read_journal(path: Path, offset: int, jobs_by_id: dict[str, Job]) -> int:
     return offset + end
 
 
-def _submit(jobs: list[Job], client: Any) -> list[float]:
-    """Submit each job when due; how late the generator was for each."""
+def _submit(jobs: list[Job], client: Any, speed: common.HostSpeed) -> list[float]:
+    """Submit each job when due; how late the generator was for each.
+
+    Between submissions the client times the host-speed reference loop
+    whenever the next job is not due for ``REFERENCE_GAP_S``.
+    """
     lags = []
     start_unix, start = time.time() + 0.2, time.perf_counter() + 0.2
-    for job in jobs:
+    for job, following in zip(jobs, [*jobs[1:], None]):
         delay = start + job.offset - time.perf_counter()
         if delay > 0:
             time.sleep(delay)
         lags.append(max(0.0, time.perf_counter() - start - job.offset))
-        job.due_unix = start_unix + job.offset
+        job.due_unix, job.due_clock = start_unix + job.offset, start + job.offset
         job.job_id = client.submit(job.kind, job.payload, namespace=job.namespace)
+        if following and start + following.offset - time.perf_counter() > REFERENCE_GAP_S:
+            speed.sample()
     return lags
 
 
@@ -376,11 +416,13 @@ def run(args: Any, workdir: Path, checkout: Path) -> int:
 
     base = workdir / "service-mix"
     trace_out = base / "server-trace.json" if args.trace else None
-    setup_samples = []
+    setup_samples = []  # wall seconds
+    setup_speed = common.HostSpeed()  # timed after each set-up
     for i in range(SETUP_REPEATS):
         t0 = time.perf_counter()
         server, warm = _setup(base / f"root{i}", checkout, trace_out)
         setup_samples.append(time.perf_counter() - t0)
+        setup_speed.sample(SETUP_REFERENCES)
         if i < SETUP_REPEATS - 1:
             server.stop()
     root = base / f"root{SETUP_REPEATS - 1}"
@@ -392,7 +434,8 @@ def run(args: Any, workdir: Path, checkout: Path) -> int:
         client = HttpServiceClient(server.url)
         sampler = RssSampler(server.proc.pid)
         sampler.start()
-        lags = _submit(jobs, client)
+        speed = common.HostSpeed()
+        lags = _submit(jobs, client, speed)
         _drain(jobs, journal, journal_start)
         peak_rss = sampler.stop()
         problems, model = _check(jobs, client, warm, args.seed)
@@ -408,10 +451,16 @@ def run(args: Any, workdir: Path, checkout: Path) -> int:
     failures = [job for job in jobs if job.state != "done"]
     done = [job for job in jobs if job.state == "done"]
     span = max(j.done_unix for j in done) - jobs[0].due_unix if done else 1.0
-    q, tail_value, beyond = common.tail(latencies)
+    scaled = [
+        latency * speed.factor(job.due_clock + latency / 2, REFERENCE_WITHIN_S)
+        if math.isfinite(latency)
+        else latency
+        for job, latency in zip(jobs, latencies)
+    ]
+    q, tail_value, beyond = common.tail(scaled)
     e2e = {
-        "setup_s": statistics.median(setup_samples),
-        "p50_s": common.percentile(latencies, 50.0),
+        "setup_s": statistics.median(setup_samples) * setup_speed.factor(),
+        "p50_s": common.percentile(scaled, 50.0),
         "tail_s": tail_value,
         "ops_per_s": len(done) / span,
         "peak_rss_mb": peak_rss / 2**20,
@@ -423,23 +472,34 @@ def run(args: Any, workdir: Path, checkout: Path) -> int:
         f"jobs={len(jobs)} offered={JOBS_PER_S:g}/s window_s={jobs[-1].offset:.2f} "
         f"namespaces={','.join(NAMESPACES)} graded_diagnoses={model['graded']}"
     )
-    print("setup samples (s): " + " ".join(f"{s:.4f}" for s in setup_samples))
+    print(
+        "setup samples (wall s): " + " ".join(f"{s:.4f}" for s in setup_samples)
+        + f"; host-speed scale {setup_speed.factor():.3f}"
+    )
+    print(
+        f"host-speed scale over the window: {speed.factor():.4f} "
+        f"({len(speed.samples)} reference timings)"
+    )
     common.print_e2e(
         e2e,
         {
-            "tail_s": f"(p{q:g}, {beyond} of {len(jobs)} samples beyond it)",
-            "setup_s": f"(median of {len(setup_samples)} set-ups)",
-            "peak_rss_mb": "(server process tree)",
+            "p50_s": f"(scaled; unscaled {common.percentile(latencies, 50.0):.6g} s)",
+            "tail_s": (
+                f"(scaled, p{q:g}, {beyond} of {len(jobs)} samples beyond it; "
+                f"unscaled {common.percentile(latencies, q):.6g} s)"
+            ),
+            "setup_s": f"(scaled median wall time of {len(setup_samples)} set-ups)",
+            "peak_rss_mb": f"(server peak RSS + {WORKERS} x largest worker private RSS)",
         },
     )
     print(f"  {'fail_ratio':<22} {len(failures) / len(jobs):.6g} ratio  ({len(failures)} of {len(jobs)})")
     print(f"  {'gen_lag_s':<22} {max(lags):.6g} s")
     for label, _ in MIX:
         mine = [lat for job, lat in zip(jobs, latencies) if job.label == label]
-        print(f"  p50 {label:<18} {common.percentile(mine, 50.0):.6g} s  ({len(mine)} jobs)")
+        print(f"  p50 {label:<18} {common.percentile(mine, 50.0):.6g} s  ({len(mine)} jobs, unscaled)")
     third = len(jobs) // 3
     print(
-        "backlog check: p50 of the first third "
+        "backlog check (unscaled): p50 of the first third "
         f"{common.percentile(latencies[:third], 50.0):.6g} s, "
         f"of the last third {common.percentile(latencies[-third:], 50.0):.6g} s"
     )
