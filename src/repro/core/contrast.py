@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import CostTracker
-from .protocol import TestResult
-from .tests_builder import TestSpec, build_test_circuit, expected_output
+from .protocol import TestResult, measure_fidelity
+from .tests_builder import TestSpec
 
 __all__ = ["FidelityModel", "fit_fidelity_model", "ContrastExecutor"]
 
@@ -81,17 +81,12 @@ def fit_fidelity_model(
     ``machine_factory`` must return machines whose calibration represents
     the in-spec state (e.g. bulk drift below the calibration threshold).
     """
-    from ..sim.sampling import match_fraction
-
     samples: dict[int, list[tuple[int, float]]] = {r: [] for r in repetition_counts}
     for trial in range(trials):
         machine = machine_factory()
         specs = _model_fit_specs(n_qubits, repetition_counts, trial)
         for spec in specs:
-            circuit = build_test_circuit(spec, n_qubits)
-            expected = expected_output(spec, n_qubits)
-            counts = machine.run_match(circuit, expected, shots)
-            fidelity = match_fraction(counts, expected)
+            fidelity = measure_fidelity(machine, spec, shots)
             samples[spec.repetitions].append(
                 (len(spec.pairs), math.log(max(fidelity, _LOG_FLOOR)))
             )
@@ -175,15 +170,11 @@ class ContrastExecutor:
     # -- internals -----------------------------------------------------------------
 
     def _measure(self, spec: TestSpec) -> float:
-        from ..sim.sampling import match_fraction
-
         if not spec.pairs:
             return 1.0
-        circuit = build_test_circuit(spec, self.machine.n_qubits)
-        expected = expected_output(spec, self.machine.n_qubits)
-        counts = self.machine.run_match(circuit, expected, self.shots)
+        fidelity = measure_fidelity(self.machine, spec, self.shots)
         self.cost.record_run(spec, self.shots)
-        return match_fraction(counts, expected)
+        return fidelity
 
     def _update_drift(self, specs: list[TestSpec], fidelities: list[float]) -> None:
         per_r: dict[int, list[float]] = {}

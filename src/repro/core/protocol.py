@@ -17,6 +17,7 @@ from typing import Protocol as TypingProtocol
 
 from ..sim.circuit import Circuit
 from ..sim.sampling import Counts, match_fraction
+from ..trap.machine import CompiledTest, cached_compiled_test
 from .cost import CostTracker
 from .tests_builder import TestSpec, build_test_circuit, expected_output
 
@@ -27,6 +28,8 @@ __all__ = [
     "TestResult",
     "TestExecutor",
     "DiagnosisReport",
+    "compiled_test",
+    "measure_fidelity",
     "compile_test_battery",
     "execute_compiled_battery",
 ]
@@ -109,6 +112,48 @@ class TestResult:
         return not self.failed
 
 
+def compiled_test(spec: TestSpec, n_qubits: int) -> CompiledTest:
+    """The process-wide cached compiled form of one test spec.
+
+    A test's circuit depends only on ``(n_qubits, spec.pairs,
+    spec.repetitions)`` — never on its name, kind or metadata — so specs
+    sharing that key share one entry: the frozen nominal circuit, its
+    expected bitstring and its circuit-static XX form (see
+    :func:`~repro.trap.machine.cached_compiled_test`).
+    """
+    return cached_compiled_test(
+        (n_qubits, spec.pairs, spec.repetitions),
+        lambda: (
+            build_test_circuit(spec, n_qubits),
+            expected_output(spec, n_qubits),
+        ),
+    )
+
+
+def measure_fidelity(
+    machine: MatchBackend,
+    spec: TestSpec,
+    shots: int,
+    realizations: int | None = None,
+) -> float:
+    """Run one non-empty test spec and return its target-state fidelity.
+
+    The single way a test is run one at a time: the cached compiled test
+    (:func:`compiled_test`) goes to ``machine.run_match``, which on a
+    :class:`~repro.trap.machine.VirtualIonTrap` evaluates XX-eligible
+    tests from the cached contraction plan.  ``realizations`` is the
+    optional shot-batching hint (omitted from the call when ``None``).
+    """
+    test = compiled_test(spec, machine.n_qubits)
+    if realizations is None:
+        counts = machine.run_match(test.circuit, test.expected, shots)
+    else:
+        counts = machine.run_match(
+            test.circuit, test.expected, shots, realizations=realizations
+        )
+    return match_fraction(counts, test.expected)
+
+
 @dataclass
 class TestExecutor:
     """Runs test specs on a backend and applies the threshold policy.
@@ -129,6 +174,9 @@ class TestExecutor:
         Optional cost tracker shared across a diagnosis session.
     """
 
+    #: Not a test class, despite the name (keeps pytest from collecting it).
+    __test__ = False
+
     machine: MatchBackend
     thresholds: ThresholdPolicy = field(default_factory=FixedThresholds)
     shots: int = 300
@@ -136,23 +184,24 @@ class TestExecutor:
     cost: CostTracker = field(default_factory=CostTracker)
 
     def execute(self, spec: TestSpec) -> TestResult:
-        """Build, run and judge one test."""
-        n = self.machine.n_qubits
+        """Run and judge one test.
+
+        The spec's circuit, expected bitstring and XX form come from the
+        process-wide compiled-test cache (:func:`compiled_test`), so a
+        test structure is built and compiled once per process, not once
+        per call; :func:`measure_fidelity` runs it.  Results are
+        bit-identical to rebuilding the circuit and realizing its noisy
+        slots on every call.
+        """
         threshold = self.thresholds.threshold_for(spec.repetitions, spec.kind)
         if not spec.pairs:
             # An empty test (all couplings excluded) trivially passes.
             return TestResult(
                 spec=spec, fidelity=1.0, threshold=threshold, shots=self.shots
             )
-        circuit = build_test_circuit(spec, n)
-        expected = expected_output(spec, n)
-        if self.shot_batch is None:
-            counts = self.machine.run_match(circuit, expected, self.shots)
-        else:
-            counts = self.machine.run_match(
-                circuit, expected, self.shots, realizations=self.shot_batch
-            )
-        fidelity = match_fraction(counts, expected)
+        fidelity = measure_fidelity(
+            self.machine, spec, self.shots, self.shot_batch
+        )
         self.cost.record_run(spec, self.shots)
         return TestResult(
             spec=spec, fidelity=fidelity, threshold=threshold, shots=self.shots

@@ -47,6 +47,9 @@ class TestSpec:
         Free-form annotations (class indices, round number, ...).
     """
 
+    #: Not a test class, despite the name (keeps pytest from collecting it).
+    __test__ = False
+
     name: str
     pairs: tuple[Pair, ...]
     repetitions: int = 2

@@ -223,10 +223,7 @@ class GateNoiseModel:
         thetas = np.array([s[2] for s in specs], dtype=float)
         unders = np.array([s[3] for s in specs], dtype=float)
         offsets = np.array([s[4] for s in specs], dtype=float)
-        if self.params.amplitude_sigma > 0:
-            xi = self.rng.normal(0.0, self.params.amplitude_sigma, ts.shape)
-        else:
-            xi = np.zeros(ts.shape)
+        xi = self.ms_amplitude_noise(ts.shape)
         out = np.empty((n_ms, n_batch, 3))
         out[:, :, 0] = thetas[:, None] * (1.0 - unders[:, None]) * (1.0 + xi)
         out[:, :, 1] = offsets[:, None]
@@ -241,6 +238,18 @@ class GateNoiseModel:
                         ts[rows]
                     )
         return out
+
+    def ms_amplitude_noise(self, shape: tuple[int, int]) -> np.ndarray:
+        """Fractional MS amplitude errors ``xi`` for ``(n_ms, n_batch)`` slots.
+
+        One RNG call (none when amplitude noise is off).  The single
+        source of the draw, shared by :meth:`noisy_ms_params_block` and
+        the machine's compiled-test path, so both consume the RNG stream
+        identically.
+        """
+        if self.params.amplitude_sigma > 0:
+            return self.rng.normal(0.0, self.params.amplitude_sigma, shape)
+        return np.zeros(shape)
 
     def residual_kick_params_block(
         self, n_kicks: int, n_batch: int

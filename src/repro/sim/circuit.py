@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gates
 
-__all__ = ["Operation", "Circuit", "is_multiple_of_pi"]
+__all__ = ["Operation", "Circuit", "FrozenCircuit", "is_multiple_of_pi"]
 
 #: Gates natively understood by the simulators, mapped to their arity.
 _GATE_ARITY = {
@@ -280,3 +280,28 @@ class Circuit:
     def copy(self) -> "Circuit":
         """Shallow copy with an independent operation list."""
         return Circuit(self.n_qubits, list(self.ops))
+
+
+class FrozenCircuit(Circuit):
+    """A read-only :class:`Circuit` whose operations are a tuple.
+
+    Shared, cached circuits (see
+    :func:`~repro.core.protocol.compiled_test`) are handed to every
+    backend that runs them, so none of those callers may change them:
+    the builder methods raise and attributes cannot be reassigned.
+    :meth:`~Circuit.copy` returns an ordinary, mutable circuit.
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "ops", tuple(self.ops))
+        object.__setattr__(self, "_frozen", True)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if getattr(self, "_frozen", False):
+            raise AttributeError("a FrozenCircuit cannot be modified")
+        super().__setattr__(name, value)
+
+    def append(self, op: Operation) -> "Circuit":
+        """Refuse: frozen circuits are read-only (``copy()`` first)."""
+        raise TypeError("a FrozenCircuit cannot be modified; copy() it first")

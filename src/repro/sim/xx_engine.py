@@ -420,6 +420,8 @@ class ContractionPlan:
                 "use per-realization Monte-Carlo evaluation"
             )
         self.component_qubits = components
+        #: Bytes pinned by the cached spin blocks (0 for streaming plans).
+        self.nbytes = 0
         if precompute:
             # Size the resident blocks before materializing anything:
             # per spin, E + L float64 products plus the chi vector.
@@ -435,6 +437,7 @@ class ContractionPlan:
                     f"(bound {max_plan_bytes}); use a streaming plan "
                     "(precompute=False) or the per-call evaluation path"
                 )
+            self.nbytes = plan_bytes
         self._components = tuple(
             self._compile_component(comp, z_bits, precompute)
             for comp in components
@@ -700,7 +703,13 @@ def batch_amplitudes_from_terms(
     are materialized transiently, never pinned); callers evaluating the
     same circuit structure repeatedly should build a precomputing plan
     themselves and reuse it (see
-    :class:`~repro.trap.machine.CompiledBattery`).
+    :class:`~repro.trap.machine.CompiledBattery`).  Single tests run
+    through ``TestExecutor.execute`` already do: they evaluate against
+    the precomputing plan of their cached compiled form (see
+    :func:`~repro.trap.machine.cached_compiled_test`); this one-shot
+    path remains the machine's slot path, for uncached circuits and for
+    tests that are not XX-eligible as a whole (a calibration carrying a
+    drive-phase offset elsewhere on the chip).
 
     ``max_batch_bytes`` chunks the realization rows so transient memory
     stays bounded for very large batches (full-size N = 32 runs).

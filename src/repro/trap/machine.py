@@ -25,12 +25,16 @@ than per shot (control noise varies slowly compared to a ~ms shot cycle);
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable, Hashable
 
 import numpy as np
 
 from ..noise.models import GateNoiseModel, NoiseParameters
-from ..sim.circuit import Circuit, Operation, is_multiple_of_pi
+from ..sim.circuit import Circuit, FrozenCircuit, Operation, is_multiple_of_pi
 from ..sim.sampling import (
     Counts,
     merge_counts,
@@ -45,6 +49,7 @@ from ..sim.statevector import (
     realization_chunks,
 )
 from ..sim.xx_engine import (
+    MAX_PLAN_BYTES,
     ContractionPlan,
     XXCircuitEvaluator,
     batch_amplitudes_from_terms,
@@ -60,6 +65,9 @@ __all__ = [
     "VirtualIonTrap",
     "CompiledTest",
     "CompiledBattery",
+    "compile_test",
+    "cached_compiled_test",
+    "compiled_test_cache_info",
 ]
 
 
@@ -211,7 +219,7 @@ class VirtualIonTrap:
         """
         if shots < 1:
             raise ValueError("shots must be positive")
-        self._account(circuit, shots)
+        self._account(circuit.depth_two_qubit(), shots)
         groups = self._shot_groups(shots, realizations)
         if self.batched:
             slots = self._realize_slots(circuit, len(groups))
@@ -246,10 +254,21 @@ class VirtualIonTrap:
         multi-group binomial call.  Returned counts lump all mismatches
         into a single placeholder state.  ``realizations`` overrides the
         machine's noise-realization count for this call.
+
+        A circuit handed out by the compiled-test cache
+        (:func:`cached_compiled_test`, behind ``TestExecutor.execute``)
+        skips slot realization when its test is XX-eligible and
+        contracts its cached plan instead, bit-identically (see
+        :meth:`_compiled_match_probabilities`).
         """
         if shots < 1:
             raise ValueError("shots must be positive")
-        self._account(circuit, shots)
+        compiled = _COMPILED_BY_CIRCUIT.get(id(circuit))
+        if compiled is None or compiled.circuit is not circuit:
+            compiled = None
+            self._account(circuit.depth_two_qubit(), shots)
+        else:
+            self._account(compiled.two_qubit_depth, shots)
         spam_factor = (
             self.noise.spam.match_probability_factor(expected, self.n_qubits)
             if self.noise.spam is not None
@@ -267,11 +286,22 @@ class VirtualIonTrap:
                     )
                 )
             return merge_counts(*counts_parts)
-        slots = self._realize_slots(circuit, len(groups))
-        if slots:
-            p_match_all = self._match_probabilities_slots(slots, expected)
+        if (
+            compiled is not None
+            and compiled.expected == expected
+            and self._compiled_xx_eligible(compiled)
+        ):
+            p_match_all = self._compiled_match_probabilities(
+                compiled, len(groups)
+            )
         else:
-            p_match_all = np.full(len(groups), 1.0 if expected == 0 else 0.0)
+            slots = self._realize_slots(circuit, len(groups))
+            if slots:
+                p_match_all = self._match_probabilities_slots(slots, expected)
+            else:
+                p_match_all = np.full(
+                    len(groups), 1.0 if expected == 0 else 0.0
+                )
         return sample_bernoulli_counts_batch(
             p_match_all * spam_factor,
             expected,
@@ -301,6 +331,59 @@ class VirtualIonTrap:
             )
             return evaluator.probability_of(expected)
         return self._dense_match_probability(realized, expected)
+
+    # -- compiled single tests ------------------------------------------------------
+
+    def _compiled_xx_eligible(self, ct: "CompiledTest") -> bool:
+        """True when a cached test may skip slot realization.
+
+        The batched machine, :meth:`CompiledTest.xx_eligible` (an XX plan,
+        XX-preserving noise, no drive-phase offsets) and every coupling
+        component within this machine's exact-summation limit — larger
+        ones take the slot path and its Monte-Carlo fallback.  Decided
+        before any RNG draw.
+        """
+        return (
+            self.batched
+            and ct.xx_eligible(self)
+            and all(
+                len(comp) <= self.max_exact_qubits
+                for comp in ct.plan.component_qubits
+            )
+        )
+
+    def _compiled_match_probabilities(
+        self, ct: "CompiledTest", n_batch: int
+    ) -> np.ndarray:
+        """Match probabilities of ``n_batch`` realizations of a cached test.
+
+        Bit-for-bit the slot path (:meth:`_realize_slots` then
+        :meth:`_match_probabilities_slots`) for an XX-eligible test: the
+        same single amplitude-noise draw, the same
+        ``theta * (1 - u) * (1 + xi)`` arithmetic, the axis sign, per-edge
+        accumulation in program order, the same clock advance — but
+        contracted against the test's precomputed plan instead of
+        realizing slots and building a plan per call.  Cached test
+        circuits carry zero drive phases, so their axis signs are the
+        ones the machine's realization yields.
+        """
+        n_ms = ct.slot_theta.size
+        acc = np.zeros((len(ct.pairs), n_batch))
+        if n_ms:
+            xi = self.noise_model.ms_amplitude_noise((n_ms, n_batch))
+            under = np.array(
+                [self.calibration.under_rotation(p) for p in ct.pairs]
+            )[ct.slot_edge]
+            noisy = ct.slot_sign[:, None] * (
+                ct.slot_theta[:, None] * (1.0 - under[:, None]) * (1.0 + xi)
+            )
+            np.add.at(acc, ct.slot_edge, noisy)
+        lin = np.tile(ct.linear, (n_batch, 1)) if ct.linear.size else None
+        self._clock += n_batch * n_ms * self.timing.gate_time(self.n_qubits)
+        # C-ordered (B, E) rows, laid out as the slot path stacks them.
+        return ct.plan.probabilities(
+            acc.T.copy(), lin, self.max_batch_bytes
+        )
 
     # -- batched (slot-based) realization and evaluation ---------------------------
 
@@ -610,8 +693,7 @@ class VirtualIonTrap:
         sim.run(compact)
         return sim.probability_of(sub_expected)
 
-    def _account(self, circuit: Circuit, shots: int) -> None:
-        n2q = circuit.depth_two_qubit()
+    def _account(self, n2q: int, shots: int) -> None:
         self.stats.circuit_runs += 1
         self.stats.shots += shots
         self.stats.two_qubit_gates += n2q * shots
@@ -659,6 +741,216 @@ class CompiledTest:
     linear: np.ndarray
     plan: ContractionPlan | None
     two_qubit_depth: int
+
+    def xx_eligible(self, machine: VirtualIonTrap) -> bool:
+        """True when this test can run on the exact XX engine.
+
+        Requires an XX contraction plan (XX-only nominal circuit),
+        XX-preserving stochastic noise, *and* a calibration free of
+        drive-phase offsets — a phase-miscalibrated coupling moves
+        realizations off the XX form even under amplitude-only noise.
+        """
+        return (
+            self.plan is not None
+            and machine.noise.is_xx_preserving()
+            and not machine.calibration.has_phase_offsets()
+        )
+
+
+def _dense_only_test(circuit: Circuit, expected: int) -> CompiledTest:
+    """A :class:`CompiledTest` without XX structure (always dense)."""
+    return CompiledTest(
+        circuit=circuit,
+        expected=expected,
+        pairs=(),
+        slot_edge=np.zeros(0, dtype=np.intp),
+        slot_theta=np.zeros(0),
+        slot_sign=np.zeros(0),
+        linear=np.zeros(0),
+        plan=None,
+        two_qubit_depth=circuit.depth_two_qubit(),
+    )
+
+
+def compile_test(
+    circuit: Circuit,
+    expected: int,
+    max_exact_qubits: int = 20,
+    max_plan_bytes: int = MAX_PLAN_BYTES,
+) -> CompiledTest:
+    """Hoist one circuit's structure into a :class:`CompiledTest`.
+
+    XX-only circuits get their edge order, slot-to-edge map, nominal
+    angles, axis signs and a precomputing
+    :class:`~repro.sim.xx_engine.ContractionPlan`; anything else compiles
+    as a dense-only test (``plan=None``).  Raises ``ValueError`` when a
+    coupling component exceeds ``max_exact_qubits`` or the plan's blocks
+    would exceed ``max_plan_bytes``.
+    """
+    if not circuit.is_xx_only():
+        # No XX structure to contract: the test is dense-only and
+        # always evaluates through its DensePlan.
+        return _dense_only_test(circuit, expected)
+    edge_index: dict[Pair, int] = {}
+    slot_edge: list[int] = []
+    slot_theta: list[float] = []
+    slot_sign: list[float] = []
+    linear_angles: dict[int, float] = {}
+    for op in circuit.ops:
+        if op.gate in ("MS", "XX"):
+            pair = frozenset(op.qubits)
+            col = edge_index.setdefault(pair, len(edge_index))
+            if op.gate == "MS":
+                theta, phi1, phi2 = op.params
+                sign = float(ms_axis_sign(phi1, phi2))
+            else:
+                theta, sign = op.params[0], 1.0
+            slot_edge.append(col)
+            slot_theta.append(theta)
+            slot_sign.append(sign)
+        elif op.gate == "RX":
+            q = op.qubits[0]
+            linear_angles[q] = linear_angles.get(q, 0.0) + op.params[0]
+        elif op.gate == "X":
+            q = op.qubits[0]
+            linear_angles[q] = linear_angles.get(q, 0.0) + math.pi
+        else:
+            raise ValueError(
+                f"gate {op.gate} is not supported by the compiled battery"
+            )
+    pairs = tuple(edge_index)
+    linear_keys = list(linear_angles)
+    plan = ContractionPlan(
+        circuit.n_qubits,
+        list(pairs),
+        linear_keys,
+        expected,
+        max_exact_qubits=max_exact_qubits,
+        max_plan_bytes=max_plan_bytes,
+    )
+    return CompiledTest(
+        circuit=circuit,
+        expected=expected,
+        pairs=pairs,
+        slot_edge=np.array(slot_edge, dtype=np.intp),
+        slot_theta=np.array(slot_theta, dtype=np.float64),
+        slot_sign=np.array(slot_sign, dtype=np.float64),
+        linear=np.array(
+            [linear_angles[q] for q in linear_keys], dtype=np.float64
+        ),
+        plan=plan,
+        two_qubit_depth=circuit.depth_two_qubit(),
+    )
+
+
+# -- process-wide cache of compiled single tests ---------------------------------
+
+#: Compiled tests by structural key, least recently used first.  Process
+#: wide, because every diagnosis session builds a fresh machine.
+_COMPILED_TESTS: OrderedDict[Hashable, CompiledTest] = OrderedDict()
+
+#: The same entries by ``id`` of their (frozen) circuit: how
+#: :meth:`VirtualIonTrap.run_match` recognizes a cached test.  An entry
+#: holds its circuit, so the id cannot be reused while it is cached.
+_COMPILED_BY_CIRCUIT: dict[int, CompiledTest] = {}
+
+#: Resident bytes of cached plans and slot arrays; least-recently-used
+#: tests are evicted first once the budget is exceeded (the test being
+#: returned is never evicted).  A single plan above the budget is not
+#: cached with a plan at all: its test runs on the slot path.
+_COMPILED_TESTS_MAX_BYTES = 64 * 1024 * 1024
+
+_COMPILED_TEST_COUNTS = {"builds": 0, "hits": 0, "evictions": 0}
+
+_COMPILED_TESTS_LOCK = threading.Lock()
+
+
+def _reset_compiled_tests_lock() -> None:
+    # A fork taken while another thread held the lock must not inherit it.
+    global _COMPILED_TESTS_LOCK
+    _COMPILED_TESTS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_compiled_tests_lock)
+
+
+def _compiled_test_bytes(ct: CompiledTest) -> int:
+    arrays = (ct.slot_edge, ct.slot_theta, ct.slot_sign, ct.linear)
+    plan_bytes = ct.plan.nbytes if ct.plan is not None else 0
+    return plan_bytes + sum(a.nbytes for a in arrays)
+
+
+def _evict_compiled_tests() -> None:
+    """Drop least-recently-used tests until the byte budget is met."""
+    while (
+        len(_COMPILED_TESTS) > 1
+        and sum(_compiled_test_bytes(t) for t in _COMPILED_TESTS.values())
+        > _COMPILED_TESTS_MAX_BYTES
+    ):
+        _, ct = _COMPILED_TESTS.popitem(last=False)
+        del _COMPILED_BY_CIRCUIT[id(ct.circuit)]
+        _COMPILED_TEST_COUNTS["evictions"] += 1
+
+
+def cached_compiled_test(
+    key: Hashable, build: Callable[[], tuple[Circuit, int]]
+) -> CompiledTest:
+    """The cached :class:`CompiledTest` for ``key``, compiling on a miss.
+
+    ``build`` returns the nominal ``(circuit, expected)`` pair that
+    ``key`` stands for; it runs once per key while the entry stays
+    cached.  The circuit is stored frozen (a
+    :class:`~repro.sim.circuit.FrozenCircuit`), and
+    :meth:`VirtualIonTrap.run_match` serves it from the compiled form.
+    Tests that cannot compile an XX plan within the default exact limit
+    and the cache's byte budget are cached without one.
+    """
+    with _COMPILED_TESTS_LOCK:
+        ct = _COMPILED_TESTS.get(key)
+        if ct is not None:
+            _COMPILED_TESTS.move_to_end(key)
+            _COMPILED_TEST_COUNTS["hits"] += 1
+            return ct
+    circuit, expected = build()
+    circuit = FrozenCircuit(circuit.n_qubits, list(circuit.ops))
+    try:
+        ct = compile_test(
+            circuit, expected, max_plan_bytes=_COMPILED_TESTS_MAX_BYTES
+        )
+    except ValueError:
+        ct = _dense_only_test(circuit, expected)
+    for array in (ct.slot_edge, ct.slot_theta, ct.slot_sign, ct.linear):
+        array.flags.writeable = False
+    with _COMPILED_TESTS_LOCK:
+        cached = _COMPILED_TESTS.get(key)
+        if cached is not None:
+            # Another thread compiled it meanwhile; keep the first.
+            _COMPILED_TESTS.move_to_end(key)
+            return cached
+        _COMPILED_TESTS[key] = ct
+        _COMPILED_BY_CIRCUIT[id(circuit)] = ct
+        _COMPILED_TEST_COUNTS["builds"] += 1
+        _evict_compiled_tests()
+    return ct
+
+
+def compiled_test_cache_info() -> dict[str, int]:
+    """Cache occupancy and work counters of the compiled-test cache.
+
+    ``tests``/``total_bytes``/``max_bytes`` mirror
+    :func:`~repro.sim.xx_engine.spin_table_cache_info`; ``builds``,
+    ``hits`` and ``evictions`` count since process start.
+    """
+    with _COMPILED_TESTS_LOCK:
+        return {
+            "tests": len(_COMPILED_TESTS),
+            "total_bytes": sum(
+                _compiled_test_bytes(t) for t in _COMPILED_TESTS.values()
+            ),
+            "max_bytes": _COMPILED_TESTS_MAX_BYTES,
+            **_COMPILED_TEST_COUNTS,
+        }
 
 
 class CompiledBattery:
@@ -722,68 +1014,8 @@ class CompiledBattery:
                 f"circuit is on {circuit.n_qubits} qubits, "
                 f"battery on {self.n_qubits}"
             )
-        if not circuit.is_xx_only():
-            # No XX structure to contract: the test is dense-only and
-            # always evaluates through its DensePlan.
-            return CompiledTest(
-                circuit=circuit,
-                expected=expected,
-                pairs=(),
-                slot_edge=np.zeros(0, dtype=np.intp),
-                slot_theta=np.zeros(0),
-                slot_sign=np.zeros(0),
-                linear=np.zeros(0),
-                plan=None,
-                two_qubit_depth=circuit.depth_two_qubit(),
-            )
-        edge_index: dict[Pair, int] = {}
-        slot_edge: list[int] = []
-        slot_theta: list[float] = []
-        slot_sign: list[float] = []
-        linear_angles: dict[int, float] = {}
-        for op in circuit.ops:
-            if op.gate in ("MS", "XX"):
-                pair = frozenset(op.qubits)
-                col = edge_index.setdefault(pair, len(edge_index))
-                if op.gate == "MS":
-                    theta, phi1, phi2 = op.params
-                    sign = float(ms_axis_sign(phi1, phi2))
-                else:
-                    theta, sign = op.params[0], 1.0
-                slot_edge.append(col)
-                slot_theta.append(theta)
-                slot_sign.append(sign)
-            elif op.gate == "RX":
-                q = op.qubits[0]
-                linear_angles[q] = linear_angles.get(q, 0.0) + op.params[0]
-            elif op.gate == "X":
-                q = op.qubits[0]
-                linear_angles[q] = linear_angles.get(q, 0.0) + math.pi
-            else:
-                raise ValueError(
-                    f"gate {op.gate} is not supported by the compiled battery"
-                )
-        pairs = tuple(edge_index)
-        linear_keys = list(linear_angles)
-        plan = ContractionPlan(
-            self.n_qubits,
-            list(pairs),
-            linear_keys,
-            expected,
-            max_exact_qubits=self.max_exact_qubits,
-        )
-        return CompiledTest(
-            circuit=circuit,
-            expected=expected,
-            pairs=pairs,
-            slot_edge=np.array(slot_edge, dtype=np.intp),
-            slot_theta=np.array(slot_theta, dtype=np.float64),
-            slot_sign=np.array(slot_sign, dtype=np.float64),
-            linear=np.array(
-                [linear_angles[q] for q in linear_keys], dtype=np.float64
-            ),
-            plan=plan,
-            two_qubit_depth=circuit.depth_two_qubit(),
+        return compile_test(
+            circuit, expected, max_exact_qubits=self.max_exact_qubits
         )
 
     def edge_column(self, index: int, pair: Pair | tuple[int, int]) -> int:
@@ -884,16 +1116,9 @@ class CompiledBattery:
     def xx_eligible(self, machine: VirtualIonTrap, index: int) -> bool:
         """True when test ``index`` can run on the exact XX engine.
 
-        Requires an XX contraction plan (XX-only nominal circuit),
-        XX-preserving stochastic noise, *and* a calibration free of
-        drive-phase offsets — a phase-miscalibrated coupling moves
-        realizations off the XX form even under amplitude-only noise.
+        See :meth:`CompiledTest.xx_eligible`.
         """
-        return (
-            self.tests[index].plan is not None
-            and machine.noise.is_xx_preserving()
-            and not machine.calibration.has_phase_offsets()
-        )
+        return self.tests[index].xx_eligible(machine)
 
     def trial_fidelities(
         self,
