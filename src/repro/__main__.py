@@ -98,7 +98,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Any
+from typing import Any, NamedTuple
 
 from .analysis import registry, runner
 from .analysis.reporting import ascii_table
@@ -165,6 +165,30 @@ def _add_resilience_flags(command: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_preset_flags(
+    command: argparse.ArgumentParser, smoke_help: str, full_help: str
+) -> None:
+    """Attach the mutually exclusive ``--smoke``/``--full`` preset pair."""
+    preset = command.add_mutually_exclusive_group()
+    preset.add_argument("--smoke", action="store_true", help=smoke_help)
+    preset.add_argument("--full", action="store_true", help=full_help)
+
+
+def _add_cache_flags(command: argparse.ArgumentParser, force_help: str) -> None:
+    """Attach ``--cache-dir``/``--no-cache``/``--force`` for the result cache."""
+    command.add_argument(
+        "--cache-dir",
+        default=None,
+        help="result-cache location (default: $REPRO_CACHE_DIR or ./.repro-cache)",
+    )
+    command.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="bypass the on-disk result cache entirely",
+    )
+    command.add_argument("--force", action="store_true", help=force_help)
+
+
 def _add_service_flags(command: argparse.ArgumentParser) -> None:
     """Attach the remote-execution flags to a service-routable command."""
     command.add_argument(
@@ -190,6 +214,58 @@ def _add_service_flags(command: argparse.ArgumentParser) -> None:
     )
 
 
+class _MatrixCommand(NamedTuple):
+    """The flags and help text of one matrix front door's sub-parser."""
+
+    help: str
+    smoke_help: str
+    full_help: str
+    flag: str
+    #: The axis flag's dest, which is also the service payload key.
+    dest: str
+    flag_help: str
+    config: str
+    jobs_help: str
+
+
+#: The matrix front doors, declared statically so that building the
+#: parser never imports the experiment registry.
+_MATRIX_COMMANDS = {
+    "scenarios": _MatrixCommand(
+        help="run the fault-scenario matrix across both engines",
+        smoke_help="matrix at smoke scale (the default; seconds)",
+        full_help="paper-sized matrix (minutes)",
+        flag="--kind",
+        dest="kinds",
+        flag_help="run only the named scenario kind (repeatable; default: all)",
+        config="a ScenarioMatrixConfig",
+        jobs_help="fan scenario kinds out over N worker processes",
+    ),
+    "arena": _MatrixCommand(
+        help="run the diagnoser tournament over the scenario matrix",
+        smoke_help="tournament at smoke scale (the default; seconds)",
+        full_help="paper-sized tournament (minutes)",
+        flag="--kind",
+        dest="kinds",
+        flag_help="run only the named scenario kind (repeatable; default: all)",
+        config="an ArenaConfig",
+        jobs_help="fan scenario kinds out over N worker processes",
+    ),
+    "fleet": _MatrixCommand(
+        help="simulate maintenance policies over a fleet of drifting traps",
+        smoke_help="fleet sweep at smoke scale (the default; seconds)",
+        full_help="full-window fleet sweep (minutes)",
+        flag="--policy",
+        dest="policies",
+        flag_help=(
+            "run only the named maintenance policy (repeatable; default: all)"
+        ),
+        config="a FleetConfig",
+        jobs_help="fan policies out over N worker processes",
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -211,16 +287,10 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="experiment names, or 'all' for every registered experiment",
     )
-    preset = run.add_mutually_exclusive_group()
-    preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="scaled-down preset (seconds; the default)",
-    )
-    preset.add_argument(
-        "--full",
-        action="store_true",
-        help="paper-sized preset (minutes for the heavy experiments)",
+    _add_preset_flags(
+        run,
+        "scaled-down preset (seconds; the default)",
+        "paper-sized preset (minutes for the heavy experiments)",
     )
     run.add_argument(
         "--set",
@@ -286,16 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the benchmark registry and emit BENCH_<label>.json",
     )
-    bench_preset = bench.add_mutually_exclusive_group()
-    bench_preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="benchmark at smoke size (the default)",
-    )
-    bench_preset.add_argument(
-        "--full",
-        action="store_true",
-        help="benchmark at full size instead of smoke size",
+    _add_preset_flags(
+        bench,
+        "benchmark at smoke size (the default)",
+        "benchmark at full size instead of smoke size",
     )
     bench.add_argument(
         "--out",
@@ -320,16 +384,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate",
         help="run the paper-fidelity validation suite",
     )
-    validate_preset = validate.add_mutually_exclusive_group()
-    validate_preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="validate at smoke scale (the default; seconds, CI-gated)",
-    )
-    validate_preset.add_argument(
-        "--full",
-        action="store_true",
-        help="validate the paper-sized preset (minutes, unpinned)",
+    _add_preset_flags(
+        validate,
+        "validate at smoke scale (the default; seconds, CI-gated)",
+        "validate the paper-sized preset (minutes, unpinned)",
     )
     validate.add_argument(
         "--experiment",
@@ -350,20 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=".",
         help="directory for the VALIDATION_<preset>.json report (default: .)",
     )
-    validate.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache location (default: $REPRO_CACHE_DIR or ./.repro-cache)",
-    )
-    validate.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk result cache entirely",
-    )
-    validate.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute replicates even when cached results exist",
+    _add_cache_flags(
+        validate, "recompute replicates even when cached results exist"
     )
     validate.add_argument(
         "--golden",
@@ -377,200 +423,46 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rewrite the golden record from this run instead of checking drift",
     )
 
-    scenarios = sub.add_parser(
-        "scenarios",
-        help="run the fault-scenario matrix across both engines",
-    )
-    scenarios_preset = scenarios.add_mutually_exclusive_group()
-    scenarios_preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="matrix at smoke scale (the default; seconds)",
-    )
-    scenarios_preset.add_argument(
-        "--full",
-        action="store_true",
-        help="paper-sized matrix (minutes)",
-    )
-    scenarios.add_argument(
-        "--kind",
-        dest="kinds",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="run only the named scenario kind (repeatable; default: all)",
-    )
-    scenarios.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="FIELD=JSON",
-        help="override a ScenarioMatrixConfig field (JSON value; repeatable)",
-    )
-    scenarios.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan scenario kinds out over N worker processes",
-    )
-    scenarios.add_argument(
-        "--out",
-        default=".",
-        help="directory for the SCENARIOS_<preset>.json report (default: .)",
-    )
-    scenarios.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache location (default: $REPRO_CACHE_DIR or ./.repro-cache)",
-    )
-    scenarios.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk result cache entirely",
-    )
-    scenarios.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute even when cached results exist",
-    )
-    _add_resilience_flags(scenarios)
-    _add_service_flags(scenarios)
-
-    arena = sub.add_parser(
-        "arena",
-        help="run the diagnoser tournament over the scenario matrix",
-    )
-    arena_preset = arena.add_mutually_exclusive_group()
-    arena_preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tournament at smoke scale (the default; seconds)",
-    )
-    arena_preset.add_argument(
-        "--full",
-        action="store_true",
-        help="paper-sized tournament (minutes)",
-    )
-    arena.add_argument(
-        "--kind",
-        dest="kinds",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="run only the named scenario kind (repeatable; default: all)",
-    )
-    arena.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="FIELD=JSON",
-        help="override an ArenaConfig field (JSON value; repeatable)",
-    )
-    arena.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan scenario kinds out over N worker processes",
-    )
-    arena.add_argument(
-        "--out",
-        default=".",
-        help="directory for the ARENA_<preset>.json report (default: .)",
-    )
-    arena.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache location (default: $REPRO_CACHE_DIR or ./.repro-cache)",
-    )
-    arena.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk result cache entirely",
-    )
-    arena.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute even when cached results exist",
-    )
-    _add_resilience_flags(arena)
-    _add_service_flags(arena)
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="simulate maintenance policies over a fleet of drifting traps",
-    )
-    fleet_preset = fleet.add_mutually_exclusive_group()
-    fleet_preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fleet sweep at smoke scale (the default; seconds)",
-    )
-    fleet_preset.add_argument(
-        "--full",
-        action="store_true",
-        help="full-window fleet sweep (minutes)",
-    )
-    fleet.add_argument(
-        "--policy",
-        dest="policies",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="run only the named maintenance policy (repeatable; default: all)",
-    )
-    fleet.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="FIELD=JSON",
-        help="override a FleetConfig field (JSON value; repeatable)",
-    )
-    fleet.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan policies out over N worker processes",
-    )
-    fleet.add_argument(
-        "--out",
-        default=".",
-        help="directory for the FLEET_<preset>.json report (default: .)",
-    )
-    fleet.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache location (default: $REPRO_CACHE_DIR or ./.repro-cache)",
-    )
-    fleet.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk result cache entirely",
-    )
-    fleet.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute even when cached results exist",
-    )
-    _add_resilience_flags(fleet)
-    _add_service_flags(fleet)
+    for name, spec in _MATRIX_COMMANDS.items():
+        command = sub.add_parser(name, help=spec.help)
+        _add_preset_flags(command, spec.smoke_help, spec.full_help)
+        command.add_argument(
+            spec.flag,
+            dest=spec.dest,
+            action="append",
+            default=[],
+            metavar="NAME",
+            help=spec.flag_help,
+        )
+        command.add_argument(
+            "--set",
+            dest="overrides",
+            action="append",
+            default=[],
+            metavar="FIELD=JSON",
+            help=f"override {spec.config} field (JSON value; repeatable)",
+        )
+        command.add_argument("--jobs", type=int, default=1, help=spec.jobs_help)
+        command.add_argument(
+            "--out",
+            default=".",
+            help=(
+                f"directory for the {name.upper()}_<preset>.json report "
+                "(default: .)"
+            ),
+        )
+        _add_cache_flags(command, "recompute even when cached results exist")
+        _add_resilience_flags(command)
+        _add_service_flags(command)
 
     chaos = sub.add_parser(
         "chaos",
         help="run the fault-injection harness and emit CHAOS_<label>.json",
     )
-    chaos_preset = chaos.add_mutually_exclusive_group()
-    chaos_preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="harness at smoke scale (the default; seconds, CI-gated)",
-    )
-    chaos_preset.add_argument(
-        "--full",
-        action="store_true",
-        help="harness at full scale (more cells, higher concurrency)",
+    _add_preset_flags(
+        chaos,
+        "harness at smoke scale (the default; seconds, CI-gated)",
+        "harness at full scale (more cells, higher concurrency)",
     )
     chaos.add_argument(
         "--seed",
@@ -1239,244 +1131,51 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_scenarios(args: argparse.Namespace) -> int:
-    """Run the scenario matrix, print the cell table, emit the report."""
-    from .scenarios.report import write_matrix_json
-
-    preset = "full" if args.full else "smoke"
-    overrides = _parse_overrides(args.overrides)
-    if args.service:
-        return _cmd_via_service(
-            args,
-            "scenarios",
-            {
-                "preset": preset,
-                "kinds": args.kinds or None,
-                "overrides": overrides,
-                "use_cache": not args.no_cache,
-                "force": args.force,
-            },
-        )
-    try:
-        payload, records = runner.run_scenario_matrix(
-            preset,
-            kinds=args.kinds or None,
-            overrides=overrides,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            force=args.force,
-            retry=_retry_policy(args),
-            journal=_journal_arg(args, f"scenarios-{preset}"),
-            resume=args.resume,
-            min_complete=args.min_complete,
-        )
-    except runner.SweepDegradedError as exc:
-        _report_degradation(exc.result)
-        raise SystemExit(f"error: {exc}") from exc
-    except (KeyError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        raise SystemExit(f"error: {message}") from exc
-    rows = []
-    for cell in payload["cells"]:
-        detection = {e: (s, t) for e, s, t in cell["detection"]}
-        for engine in cell["engines"]:
-            s, t = detection.get(engine, (0, 0))
-            rows.append(
-                [
-                    cell["scenario"],
-                    cell["n_qubits"],
-                    engine,
-                    "xx+dense" if cell["xx_preserving"] else "dense-only",
-                    f"{s}/{t}" if t else "-",
-                    (
-                        f"{cell['identification_successes']}"
-                        f"/{cell['identification_trials']}"
-                    ),
-                ]
-            )
-    print(
-        ascii_table(
-            ["scenario", "N", "engine", "routing", "detected", "identified"],
-            rows,
-            title=f"fault-scenario matrix ({preset})",
-        )
-    )
-    anchor = payload["anchor"]
-    if anchor["largest_resolved_2ms"] is not None:
-        print(
-            "fig6 anchor (Sec. VI noise, paper thresholds): 47% fault "
-            f"resolved 2-MS {anchor['largest_resolved_2ms']}, "
-            f"4-MS {anchor['largest_resolved_4ms']}"
-        )
-    cached = sum(r.cache_hit for r in records)
-    path = write_matrix_json(payload, args.out)
-    print(
-        f"\n{len(payload['cells'])} cells across "
-        f"{len(payload['kinds'])} scenario kinds "
-        f"({cached}/{len(records)} kind jobs cache-served) -> {path}"
-    )
-    return 0
-
-
-def _cmd_arena(args: argparse.Namespace) -> int:
-    """Run the diagnoser tournament, print the leaderboard, emit the report.
-
-    Exits 1 when any embedded hard check fails — the arena's pass/fail
-    verdict is part of the artifact, not just the JSON.
-    """
-    from .arena.report import write_arena_json
-
-    preset = "full" if args.full else "smoke"
-    overrides = _parse_overrides(args.overrides)
-    if args.service:
-        return _cmd_via_service(
-            args,
-            "arena",
-            {
-                "preset": preset,
-                "kinds": args.kinds or None,
-                "overrides": overrides,
-                "use_cache": not args.no_cache,
-                "force": args.force,
-            },
-        )
-    try:
-        payload, records = runner.run_arena(
-            preset,
-            kinds=args.kinds or None,
-            overrides=overrides,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            force=args.force,
-            retry=_retry_policy(args),
-            journal=_journal_arg(args, f"arena-{preset}"),
-            resume=args.resume,
-            min_complete=args.min_complete,
-        )
-    except runner.SweepDegradedError as exc:
-        _report_degradation(exc.result)
-        raise SystemExit(f"error: {exc}") from exc
-    except (KeyError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        raise SystemExit(f"error: {message}") from exc
-    rows = []
-    for entry in payload["leaderboard"]:
-        fault, clean = entry["fault_trials"], entry["clean_trials"]
-        rows.append(
-            [
-                entry["rank"],
-                entry["diagnoser"],
-                f"{entry['detections']}/{fault}" if fault else "-",
-                (
-                    f"{entry['detection_ci_lower']:.2f}"
-                    if entry["detection_ci_lower"] is not None
-                    else "-"
-                ),
-                (
-                    f"{entry['false_alarm_rate']:.2f}"
-                    if entry["false_alarm_rate"] is not None
-                    else "-"
-                ),
-                (
-                    f"{entry['mean_precision']:.2f}"
-                    if entry["mean_precision"] is not None
-                    else "-"
-                ),
-                f"{entry['mean_shots']:.0f}",
-                f"{entry['mean_adaptations']:.1f}",
-                entry["timeouts"],
-            ]
-        )
-    print(
-        ascii_table(
-            [
-                "rank",
-                "diagnoser",
-                "detected",
-                "ci-lower",
-                "false-alarm",
-                "precision",
-                "shots",
-                "adapt",
-                "timeouts",
-            ],
-            rows,
-            title=f"diagnoser arena ({preset})",
-        )
-    )
-    crossover = payload["crossover"]
-    for row in crossover["per_n"]:
-        ratio = row["shot_ratio"]
-        print(
-            f"N={row['n_qubits']}: battery {row['battery_shots']:.0f} shots "
-            f"vs binary-search {row['binary_search_shots']:.0f} "
-            f"(ratio {ratio:.2f})" if ratio is not None else
-            f"N={row['n_qubits']}: battery {row['battery_shots']:.0f} shots, "
-            "binary-search unmeasured"
-        )
-    print(
-        "shot-cost crossover: "
-        + (
-            f"battery cheaper from N={crossover['crossover_n']}"
-            if crossover["crossover_n"] is not None
-            else "not reached in the measured range"
-        )
-    )
-    failed_hard = [
-        check
-        for check in payload["checks"]
-        if check["hard"] and not check["passed"]
-    ]
-    for check in payload["checks"]:
+def _print_checks(checks: list[dict[str, Any]]) -> int:
+    """Print a report's embedded checks; exit 1 if any hard check failed."""
+    for check in checks:
         status = "PASS" if check["passed"] else "FAIL"
         grade = "hard" if check["hard"] else "soft"
         print(f"[{status}] ({grade}) {check['check_id']}: {check['observed']}")
-    cached = sum(r.cache_hit for r in records)
-    path = write_arena_json(payload, args.out)
-    print(
-        f"\n{len(payload['cells'])} cells across "
-        f"{len(payload['kinds'])} scenario kinds, "
-        f"{len(payload['diagnosers'])} diagnosers "
-        f"({cached}/{len(records)} kind jobs cache-served) -> {path}"
-    )
-    return 1 if failed_hard else 0
+    return int(any(c["hard"] and not c["passed"] for c in checks))
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Run the fleet sweep, print the policy table, emit the report.
+def _cmd_matrix(args: argparse.Namespace) -> int:
+    """Run a matrix front door, print its report, emit the JSON.
 
-    Exits 1 when any embedded hard check fails — the Fig. 2 uptime
-    verdict is part of the artifact, not just the JSON.
+    Exits 1 when any embedded hard check fails — the arena and fleet
+    verdicts are part of the artifact, not just the JSON.
     """
-    from .fleet.report import write_fleet_json
+    from .schema import write_report
 
     preset = "full" if args.full else "smoke"
     overrides = _parse_overrides(args.overrides)
+    dest = _MATRIX_COMMANDS[args.command].dest
+    values = getattr(args, dest) or None
     if args.service:
         return _cmd_via_service(
             args,
-            "fleet",
+            args.command,
             {
                 "preset": preset,
-                "policies": args.policies or None,
+                dest: values,
                 "overrides": overrides,
                 "use_cache": not args.no_cache,
                 "force": args.force,
             },
         )
     try:
-        payload, records = runner.run_fleet(
-            preset,
-            policies=args.policies or None,
+        payload, _records = runner.run_matrix(
+            args.command,
+            values,
+            preset=preset,
             overrides=overrides,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
             force=args.force,
             retry=_retry_policy(args),
-            journal=_journal_arg(args, f"fleet-{preset}"),
+            journal=_journal_arg(args, f"{args.command}-{preset}"),
             resume=args.resume,
             min_complete=args.min_complete,
         )
@@ -1486,68 +1185,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     except (KeyError, ValueError, TypeError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         raise SystemExit(f"error: {message}") from exc
-    rows = []
-    for entry in payload["leaderboard"]:
-        rows.append(
-            [
-                entry["rank"],
-                entry["policy"],
-                f"{entry['uptime']:.3f}",
-                f"{entry['good_jobs_per_hour']:.1f}",
-                f"{entry['corrupted_job_rate']:.3f}",
-                (
-                    f"{entry['mttr_seconds']:.0f}"
-                    if entry["mttr_seconds"] is not None
-                    else "-"
-                ),
-                entry["faults_repaired"],
-                entry["faults_quarantined"],
-                entry["stalls"],
-            ]
-        )
-    print(
-        ascii_table(
-            [
-                "rank",
-                "policy",
-                "uptime",
-                "jobs/h",
-                "corrupted",
-                "mttr-s",
-                "repaired",
-                "quarantined",
-                "stalls",
-            ],
-            rows,
-            title=f"fleet maintenance policies ({preset})",
-        )
-    )
-    for cell in payload["cells"]:
-        duty = cell["duty_cycle"]
-        states = cell["final_states"]
-        print(
-            f"{cell['policy']}: duty jobs {duty['jobs']:.2f} / tests "
-            f"{duty['coupling_tests']:.2f} / other "
-            f"{duty['other_calibration']:.2f}; final states "
-            f"{states['healthy']}H/{states['under-repair']}R/"
-            f"{states['quarantined-degraded']}Q"
-        )
-    failed_hard = [
-        check
-        for check in payload["checks"]
-        if check["hard"] and not check["passed"]
-    ]
-    for check in payload["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
-        grade = "hard" if check["hard"] else "soft"
-        print(f"[{status}] ({grade}) {check['check_id']}: {check['observed']}")
-    cached = sum(r.cache_hit for r in records)
-    path = write_fleet_json(payload, args.out)
-    print(
-        f"\n{len(payload['cells'])} policy cells "
-        f"({cached}/{len(records)} policy jobs cache-served) -> {path}"
-    )
-    return 1 if failed_hard else 0
+    render = registry.get_experiment(args.command).matrix.render
+    table, _, headline = render(payload).rpartition("\n")
+    print(table)
+    code = _print_checks(payload.get("checks", []))
+    path = write_report(payload, args.out)
+    print(f"\n{headline} -> {path}")
+    return code
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -1606,22 +1250,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"{resume['dispatched']}/{resume['n_points']} dispatched, "
         f"complete={resume['complete']}"
     )
-    failed_hard = [
-        check
-        for check in payload["checks"]
-        if check["hard"] and not check["passed"]
-    ]
-    for check in payload["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
-        grade = "hard" if check["hard"] else "soft"
-        print(f"[{status}] ({grade}) {check['check_id']}: {check['observed']}")
+    code = _print_checks(payload["checks"])
     print(
         f"\ninjected {json.dumps(payload['injected'])} + "
         f"{len(payload['corruption']['predicted'])} corrupted cache "
         f"entr{'y' if len(payload['corruption']['predicted']) == 1 else 'ies'} "
         f"({payload['elapsed_seconds']:.1f}s) -> {path}"
     )
-    return 1 if failed_hard else 0
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1637,12 +1273,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_bench(args)
     if args.command == "validate":
         return _cmd_validate(args)
-    if args.command == "scenarios":
-        return _cmd_scenarios(args)
-    if args.command == "arena":
-        return _cmd_arena(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
+    if args.command in _MATRIX_COMMANDS:
+        return _cmd_matrix(args)
     if args.command == "chaos":
         return _cmd_chaos(args)
     if args.command == "serve":

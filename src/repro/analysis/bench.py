@@ -41,8 +41,8 @@ Registered cases
     supervised path, so a speedup near 1.0 means the resilience layer
     is free and a speedup above 1.05 means it costs more than 5%.
 
-The JSON schema is deliberately hand-validated
-(:func:`validate_bench_payload`) so the registry stays dependency-free.
+:data:`BENCH_SCHEMA` declares the JSON shape for the stdlib checker of
+:mod:`repro.schema`, so the registry stays dependency-free.
 """
 
 from __future__ import annotations
@@ -54,17 +54,26 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..provenance import provenance
+from ..schema import (
+    Schema,
+    integer,
+    list_of,
+    nullable,
+    number,
+    obj,
+    string,
+    write_report,
+)
 from . import registry
 
 __all__ = [
+    "BENCH_SCHEMA",
     "BENCH_SCHEMA_ID",
     "BenchCase",
     "bench_cases",
     "bench_payload",
     "run_bench",
     "validate_bench_payload",
-    "write_bench_json",
 ]
 
 #: Schema identifier stamped into (and required of) every bench payload.
@@ -462,104 +471,30 @@ def bench_payload(
             }
         )
     return {
-        "schema": BENCH_SCHEMA_ID,
-        "label": label or preset,
-        "preset": preset,
-        "created_unix": time.time(),
-        "provenance": provenance(),
+        **BENCH_SCHEMA.header(preset, label),
         "cases": results,
     }
 
 
-def validate_bench_payload(payload: Any) -> None:
-    """Raise ``ValueError`` listing every way ``payload`` violates the schema."""
-    problems: list[str] = []
+BENCH_SCHEMA = Schema(
+    BENCH_SCHEMA_ID,
+    "bench",
+    # A bench record's stamp needs only the version and the commit.
+    provenance=obj(repro_version=string(), git_sha=nullable(string())),
+    cases=list_of(
+        obj(
+            name=string(nonempty=True),
+            description=string(nonempty=True),
+            reference_seconds=number(positive=True),
+            optimized_seconds=number(positive=True),
+            speedup=number(positive=True),
+            repeats=integer(1),
+        ),
+        nonempty=True,
+    ),
+)
 
-    def _check(cond: bool, message: str) -> None:
-        if not cond:
-            problems.append(message)
-
-    _check(isinstance(payload, dict), "payload must be a JSON object")
-    if isinstance(payload, dict):
-        _check(
-            payload.get("schema") == BENCH_SCHEMA_ID,
-            f"schema must be {BENCH_SCHEMA_ID!r}",
-        )
-        _check(
-            isinstance(payload.get("label"), str) and payload.get("label"),
-            "label must be a non-empty string",
-        )
-        _check(
-            payload.get("preset") in ("smoke", "full"),
-            "preset must be 'smoke' or 'full'",
-        )
-        _check(
-            isinstance(payload.get("created_unix"), (int, float)),
-            "created_unix must be a number",
-        )
-        prov = payload.get("provenance")
-        _check(isinstance(prov, dict), "provenance must be an object")
-        if isinstance(prov, dict):
-            _check(
-                isinstance(prov.get("repro_version"), str),
-                "provenance.repro_version must be a string",
-            )
-            _check(
-                prov.get("git_sha") is None
-                or isinstance(prov.get("git_sha"), str),
-                "provenance.git_sha must be a string or null",
-            )
-        cases = payload.get("cases")
-        _check(
-            isinstance(cases, list) and len(cases) > 0,
-            "cases must be a non-empty array",
-        )
-        if isinstance(cases, list):
-            for k, case in enumerate(cases):
-                where = f"cases[{k}]"
-                if not isinstance(case, dict):
-                    problems.append(f"{where} must be an object")
-                    continue
-                for key in ("name", "description"):
-                    _check(
-                        isinstance(case.get(key), str) and case.get(key),
-                        f"{where}.{key} must be a non-empty string",
-                    )
-                for key in (
-                    "reference_seconds",
-                    "optimized_seconds",
-                    "speedup",
-                ):
-                    value = case.get(key)
-                    _check(
-                        isinstance(value, (int, float))
-                        and not isinstance(value, bool)
-                        and value > 0,
-                        f"{where}.{key} must be a positive number",
-                    )
-                _check(
-                    isinstance(case.get("repeats"), int)
-                    and case.get("repeats") >= 1,
-                    f"{where}.repeats must be an integer >= 1",
-                )
-    if problems:
-        raise ValueError(
-            "invalid bench payload: " + "; ".join(problems)
-        )
-
-
-def write_bench_json(payload: dict[str, Any], out_dir: Path | str) -> Path:
-    """Validate and write the payload as ``<out>/BENCH_<label>.json``."""
-    from .runner import _atomic_write_json
-
-    validate_bench_payload(payload)
-    label = "".join(
-        c if c.isalnum() or c in "._-" else "-" for c in str(payload["label"])
-    )
-    out = Path(out_dir)
-    path = out / f"BENCH_{label}.json"
-    _atomic_write_json(path, payload)
-    return path
+validate_bench_payload = BENCH_SCHEMA.validate
 
 
 def run_bench(
@@ -574,5 +509,5 @@ def run_bench(
     written to (label defaults to the preset).
     """
     payload = bench_payload(preset, case_names=case_names, label=label)
-    path = write_bench_json(payload, out_dir)
+    path = write_report(payload, out_dir)
     return payload, path

@@ -394,7 +394,8 @@ def _validation():
 
 def _register() -> None:
     """Hook this experiment into the unified runner registry."""
-    from ..registry import register_experiment
+    from ...arena.report import merge_arena, render_arena
+    from ..registry import MatrixSpec, register_experiment
 
     def _to_rows(result: ArenaResult):
         rows = []
@@ -462,6 +463,14 @@ def _register() -> None:
         to_rows=_to_rows,
         summarize=_summarize,
         validation=_validation(),
+        matrix=MatrixSpec(
+            axis="scenarios",
+            record_key="kinds",
+            values=SCENARIO_KINDS,
+            noun="scenario kinds",
+            merge=merge_arena,
+            render=render_arena,
+        ),
     )
 
 

@@ -422,7 +422,8 @@ def _validation():
 
 def _register() -> None:
     """Hook this experiment into the unified runner registry."""
-    from ..registry import register_experiment
+    from ...fleet.report import merge_fleet, render_fleet
+    from ..registry import MatrixSpec, register_experiment
 
     def _to_rows(result: FleetResult):
         rows = []
@@ -488,6 +489,14 @@ def _register() -> None:
         to_rows=_to_rows,
         summarize=_summarize,
         validation=_validation(),
+        matrix=MatrixSpec(
+            axis="policies",
+            record_key="policies",
+            values=POLICY_NAMES,
+            noun="policies",
+            merge=merge_fleet,
+            render=render_fleet,
+        ),
     )
 
 

@@ -617,7 +617,8 @@ def _validation():
 
 def _register() -> None:
     """Hook this experiment into the unified runner registry."""
-    from ..registry import register_experiment
+    from ...scenarios.report import merge_matrix, render_matrix
+    from ..registry import MatrixSpec, register_experiment
 
     def _to_rows(result: ScenarioMatrixResult):
         rows = []
@@ -690,6 +691,14 @@ def _register() -> None:
         to_rows=_to_rows,
         summarize=_summarize,
         validation=_validation(),
+        matrix=MatrixSpec(
+            axis="scenarios",
+            record_key="kinds",
+            values=SCENARIO_KINDS,
+            noun="scenario kinds",
+            merge=merge_matrix,
+            render=render_matrix,
+        ),
     )
 
 

@@ -24,6 +24,7 @@ from typing import Any, Callable
 
 __all__ = [
     "ExperimentSpec",
+    "MatrixSpec",
     "register_experiment",
     "get_experiment",
     "experiment_names",
@@ -34,6 +35,42 @@ __all__ = [
 RowTable = tuple[list[str], list[list[object]]]
 
 _REGISTRY: dict[str, "ExperimentSpec"] = {}
+
+
+@dataclasses.dataclass(frozen=True)
+class MatrixSpec:
+    """How :func:`repro.analysis.runner.run_matrix` sweeps one experiment.
+
+    A matrix experiment runs one job per value of one config field (so
+    values cache independently) and merges the records into one report.
+
+    Attributes
+    ----------
+    axis:
+        The swept config field (``scenarios``, ``policies``).
+    record_key:
+        The key naming a record's values in the report's ``records``;
+        also the service job payload key (``kinds``, ``policies``).
+    values:
+        Every known value of the axis; anything else is rejected.
+    noun:
+        How that rejection names them (``scenario kinds``, ``policies``).
+    merge:
+        ``merge(preset, results, config, records) -> payload``: the report
+        from the per-value results, the first record's config and the
+        per-record provenance.
+    render:
+        ``render(payload) -> str``: the human report.  The CLI prints its
+        last line, the headline, after the embedded checks and appends
+        the report's path.
+    """
+
+    axis: str
+    record_key: str
+    values: tuple[str, ...]
+    noun: str
+    merge: Callable[..., dict[str, Any]]
+    render: Callable[[dict[str, Any]], str]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,6 +101,9 @@ class ExperimentSpec:
         contract — the statistical expectations ``python -m repro
         validate`` grades for this experiment (``None`` means the
         experiment has no paper-fidelity locks).
+    matrix:
+        Optional :class:`MatrixSpec` making the experiment a matrix
+        front door (``None`` for single-run experiments).
     """
 
     name: str
@@ -75,6 +115,7 @@ class ExperimentSpec:
     to_rows: Callable[[Any], RowTable]
     summarize: Callable[[Any], str]
     validation: Any | None = None
+    matrix: MatrixSpec | None = None
 
     def config(
         self, preset: str = "full", overrides: dict[str, Any] | None = None
@@ -142,6 +183,7 @@ def register_experiment(
     to_rows: Callable[[Any], RowTable],
     summarize: Callable[[Any], str],
     validation: Any | None = None,
+    matrix: MatrixSpec | None = None,
 ) -> ExperimentSpec:
     """Register an experiment; re-registration under the same name errors."""
     if name in _REGISTRY:
@@ -156,6 +198,7 @@ def register_experiment(
         to_rows=to_rows,
         summarize=summarize,
         validation=validation,
+        matrix=matrix,
     )
     _REGISTRY[name] = spec
     return spec

@@ -43,6 +43,7 @@ from ..exec.journal import JournalWriter, load_journal
 from ..exec.outcomes import JobOutcome, raise_outcome
 from ..exec.pool import run_supervised
 from ..exec.retry import RetryPolicy
+from ..schema import validate_report
 from .registry import ExperimentSpec, get_experiment
 
 __all__ = [
@@ -52,12 +53,10 @@ __all__ = [
     "config_digest",
     "default_cache_dir",
     "fan_out",
-    "run_arena",
     "run_experiment",
-    "run_fleet",
     "run_many",
+    "run_matrix",
     "run_replicates",
-    "run_scenario_matrix",
     "run_sweep",
     "sweep_grid",
     "to_jsonable",
@@ -725,9 +724,10 @@ def _gate_sweep(
     return completed
 
 
-def run_scenario_matrix(
+def run_matrix(
+    name: str,
+    values: list[str] | None = None,
     preset: str = "smoke",
-    kinds: list[str] | None = None,
     overrides: dict[str, Any] | None = None,
     jobs: int = 1,
     cache_dir: Path | str | None = None,
@@ -739,44 +739,44 @@ def run_scenario_matrix(
     resume: bool = False,
     min_complete: float = 1.0,
 ) -> tuple[dict[str, Any], list[RunRecord]]:
-    """Sweep the ``scenarios`` experiment per kind and merge the matrix.
+    """Sweep a matrix experiment one axis value per job and merge the report.
 
-    The scenario-matrix front door behind ``python -m repro scenarios``:
-    each scenario kind runs as its *own* ``scenarios``-experiment job
-    (``run_sweep`` over the ``scenarios`` config field), so kinds are
-    cached independently — re-running with one new kind only simulates
-    that kind — and fan out over ``jobs`` worker processes.  The per-kind
-    records merge into one schema-validated matrix payload
-    (:mod:`repro.scenarios.report`), carrying every cell plus the fig6
-    anchor verdicts from the under-rotation record.
+    The one front door behind ``python -m repro scenarios``, ``arena``
+    and ``fleet`` and the service's job kinds of the same names.  The
+    experiment's :class:`~repro.analysis.registry.MatrixSpec` names the
+    swept config field: each value (scenario kind, policy) runs as its
+    *own* job (:func:`run_sweep` over that field), so values are cached
+    independently — re-running with one new value only simulates that
+    value — and fan out over ``jobs`` worker processes.  The per-value
+    records merge through the spec's ``merge`` hook into one
+    schema-validated report.
 
-    Returns ``(matrix_payload, records)``; write the payload with
-    :func:`repro.scenarios.report.write_matrix_json`.
+    ``values`` defaults to the axis field of ``overrides`` and then to
+    the preset's; an explicit ``values`` wins over the override (the
+    sweep owns that field).  Repeated values run once, in first-seen
+    order.  Returns ``(payload, records)``; write the payload with
+    :func:`repro.schema.write_report`.
     """
-    from ..scenarios.report import matrix_payload, validate_matrix_payload
-    from ..scenarios.spec import SCENARIO_KINDS
-
-    spec = get_experiment("scenarios")
+    spec = get_experiment(name)
+    matrix = spec.matrix
+    if matrix is None:
+        raise ValueError(f"experiment {name!r} is not a matrix experiment")
     base = dict(overrides or {})
-    # "scenarios" must never stay in the base overrides: the sweep owns
-    # that field (an explicit ``kinds`` argument wins over the override).
-    override_kinds = base.pop("scenarios", None)
-    kinds = list(
-        kinds
-        if kinds is not None
-        else (override_kinds or spec.config(preset).scenarios)
-    )
-    unknown = set(kinds) - set(SCENARIO_KINDS)
+    override_values = base.pop(matrix.axis, None)
+    if values is None:
+        values = override_values or getattr(spec.config(preset), matrix.axis)
+    values = list(dict.fromkeys(values))
+    unknown = set(values) - set(matrix.values)
     if unknown:
         raise ValueError(
-            "unknown scenario kinds: "
+            f"unknown {matrix.noun}: "
             + ", ".join(sorted(unknown))
             + "; known: "
-            + ", ".join(SCENARIO_KINDS)
+            + ", ".join(matrix.values)
         )
     sweep_result = run_sweep(
-        "scenarios",
-        {"scenarios": [[kind] for kind in kinds]},
+        name,
+        {matrix.axis: [[value] for value in values]},
         preset=preset,
         base_overrides=base or None,
         jobs=jobs,
@@ -789,222 +789,22 @@ def run_scenario_matrix(
         resume=resume,
     )
     results = _gate_sweep(sweep_result, min_complete)
-    cells: list[dict[str, Any]] = []
-    anchor: dict[str, Any] = {
-        "largest_resolved_2ms": None,
-        "largest_resolved_4ms": None,
-    }
-    record_info: list[dict[str, Any]] = []
-    for point, record in results:
-        result = record.payload["result"]
-        cells.extend(result["cells"])
-        if result.get("anchor_largest_resolved_2ms") is not None:
-            anchor = {
-                "largest_resolved_2ms": result["anchor_largest_resolved_2ms"],
-                "largest_resolved_4ms": result["anchor_largest_resolved_4ms"],
-            }
-        record_info.append(
+    payload = matrix.merge(
+        preset,
+        [record.payload["result"] for _, record in results],
+        results[0][1].payload["config"],
+        [
             {
-                "kinds": list(point["scenarios"]),
+                matrix.record_key: list(point[matrix.axis]),
                 "config_digest": record.config_digest,
                 "cache_hit": record.cache_hit,
             }
-        )
-    detect_floor = float(results[0][1].payload["config"]["detect_floor"])
-    payload = matrix_payload(
-        preset=preset,
-        cells=cells,
-        anchor=anchor,
-        detect_floor=detect_floor,
-        records=record_info,
+            for point, record in results
+        ],
     )
     if not sweep_result.complete:
         payload["degradation"] = sweep_result.degradation()
-    validate_matrix_payload(payload)
-    return payload, [record for _, record in results]
-
-
-def run_arena(
-    preset: str = "smoke",
-    kinds: list[str] | None = None,
-    overrides: dict[str, Any] | None = None,
-    jobs: int = 1,
-    cache_dir: Path | str | None = None,
-    use_cache: bool = True,
-    force: bool = False,
-    retry: RetryPolicy | None = None,
-    timeout: float | None = None,
-    journal: Path | str | None = None,
-    resume: bool = False,
-    min_complete: float = 1.0,
-) -> tuple[dict[str, Any], list[RunRecord]]:
-    """Sweep the ``arena`` experiment per scenario kind and merge the tournament.
-
-    The arena front door behind ``python -m repro arena``, shaped exactly
-    like :func:`run_scenario_matrix`: each scenario kind runs as its own
-    ``arena``-experiment job (``run_sweep`` over the arena config's
-    ``scenarios`` field) so kinds cache independently and fan out over
-    ``jobs`` worker processes; the per-kind records merge into one
-    schema-validated ``ARENA_<label>`` payload
-    (:mod:`repro.arena.report`) — every (diagnoser, kind, N) cell, the
-    pooled leaderboard, the measured battery-vs-binary-search shot-cost
-    crossover and the embedded pass/fail checks.
-
-    Returns ``(arena_payload, records)``; write the payload with
-    :func:`repro.arena.report.write_arena_json`.
-    """
-    from ..arena.report import arena_payload, validate_arena_payload
-    from ..scenarios.spec import SCENARIO_KINDS
-
-    spec = get_experiment("arena")
-    base = dict(overrides or {})
-    # The sweep owns the ``scenarios`` field (explicit ``kinds`` wins).
-    override_kinds = base.pop("scenarios", None)
-    kinds = list(
-        kinds
-        if kinds is not None
-        else (override_kinds or spec.config(preset).scenarios)
-    )
-    unknown = set(kinds) - set(SCENARIO_KINDS)
-    if unknown:
-        raise ValueError(
-            "unknown scenario kinds: "
-            + ", ".join(sorted(unknown))
-            + "; known: "
-            + ", ".join(SCENARIO_KINDS)
-        )
-    sweep_result = run_sweep(
-        "arena",
-        {"scenarios": [[kind] for kind in kinds]},
-        preset=preset,
-        base_overrides=base or None,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        force=force,
-        retry=retry,
-        timeout=timeout,
-        journal=journal,
-        resume=resume,
-    )
-    results = _gate_sweep(sweep_result, min_complete)
-    cells: list[dict[str, Any]] = []
-    record_info: list[dict[str, Any]] = []
-    for point, record in results:
-        result = record.payload["result"]
-        cells.extend(result["cells"])
-        record_info.append(
-            {
-                "kinds": list(point["scenarios"]),
-                "config_digest": record.config_digest,
-                "cache_hit": record.cache_hit,
-            }
-        )
-    config = results[0][1].payload["config"]
-    payload = arena_payload(
-        preset=preset,
-        cells=cells,
-        budget={
-            "soft_seconds": config["soft_seconds"],
-            "hard_seconds": config["hard_seconds"],
-        },
-        detect_floor=float(config["detect_floor"]),
-        random_detect_rate=float(config["random_detect_rate"]),
-        records=record_info,
-    )
-    if not sweep_result.complete:
-        payload["degradation"] = sweep_result.degradation()
-    validate_arena_payload(payload)
-    return payload, [record for _, record in results]
-
-
-def run_fleet(
-    preset: str = "smoke",
-    policies: list[str] | None = None,
-    overrides: dict[str, Any] | None = None,
-    jobs: int = 1,
-    cache_dir: Path | str | None = None,
-    use_cache: bool = True,
-    force: bool = False,
-    retry: RetryPolicy | None = None,
-    timeout: float | None = None,
-    journal: Path | str | None = None,
-    resume: bool = False,
-    min_complete: float = 1.0,
-) -> tuple[dict[str, Any], list[RunRecord]]:
-    """Sweep the ``fleet`` experiment per policy and merge the report.
-
-    The fleet front door behind ``python -m repro fleet``, shaped exactly
-    like :func:`run_arena`: each maintenance policy runs as its own
-    ``fleet``-experiment job (``run_sweep`` over the fleet config's
-    ``policies`` field) so policies cache independently and fan out over
-    ``jobs`` worker processes; the per-policy records merge into one
-    schema-validated ``FLEET_<label>`` payload
-    (:mod:`repro.fleet.report`) — every policy's uptime / throughput /
-    MTTR / corruption cell, the leaderboard and the embedded pass/fail
-    checks (including the Fig. 2 duty-cycle reconciliation).
-
-    Returns ``(fleet_payload, records)``; write the payload with
-    :func:`repro.fleet.report.write_fleet_json`.
-    """
-    from ..fleet.policies import POLICY_NAMES
-    from ..fleet.report import fleet_payload, validate_fleet_payload
-
-    spec = get_experiment("fleet")
-    base = dict(overrides or {})
-    # The sweep owns the ``policies`` field (explicit ``policies`` wins).
-    override_policies = base.pop("policies", None)
-    policies = list(
-        policies
-        if policies is not None
-        else (override_policies or spec.config(preset).policies)
-    )
-    unknown = set(policies) - set(POLICY_NAMES)
-    if unknown:
-        raise ValueError(
-            "unknown policies: "
-            + ", ".join(sorted(unknown))
-            + "; known: "
-            + ", ".join(POLICY_NAMES)
-        )
-    sweep_result = run_sweep(
-        "fleet",
-        {"policies": [[policy] for policy in policies]},
-        preset=preset,
-        base_overrides=base or None,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        force=force,
-        retry=retry,
-        timeout=timeout,
-        journal=journal,
-        resume=resume,
-    )
-    results = _gate_sweep(sweep_result, min_complete)
-    cells: list[dict[str, Any]] = []
-    record_info: list[dict[str, Any]] = []
-    for point, record in results:
-        result = record.payload["result"]
-        cells.extend(result["cells"])
-        record_info.append(
-            {
-                "policies": list(point["policies"]),
-                "config_digest": record.config_digest,
-                "cache_hit": record.cache_hit,
-            }
-        )
-    config = results[0][1].payload["config"]
-    payload = fleet_payload(
-        preset=preset,
-        cells=cells,
-        detect_floor=float(config["detect_floor"]),
-        corruption_floor=float(config["corruption_floor"]),
-        records=record_info,
-    )
-    if not sweep_result.complete:
-        payload["degradation"] = sweep_result.degradation()
-    validate_fleet_payload(payload)
+    validate_report(payload)
     return payload, [record for _, record in results]
 
 

@@ -1,40 +1,53 @@
 """Schema'd arena leaderboards (``ARENA_<label>.json``).
 
-The arena runner (:func:`repro.analysis.runner.run_arena` behind
-``python -m repro arena``) merges per-scenario-kind experiment records
-into one tournament payload: every (diagnoser, scenario kind, machine
-size) cell's detection/isolation/cost aggregates, a pooled per-diagnoser
+The matrix front door (:func:`repro.analysis.runner.run_matrix` over the
+``arena`` experiment, behind ``python -m repro arena``) merges the
+per-scenario-kind experiment records through :func:`merge_arena` into
+one tournament payload: every (diagnoser, scenario kind, machine size)
+cell's detection/isolation/cost aggregates, a pooled per-diagnoser
 leaderboard, the measured battery-vs-binary-search shot-cost crossover
 (Fig. 10's economics claim, measured rather than assumed), and the
-embedded golden-style checks that gate the CLI exit code.  Like the
-scenario matrix, the schema is hand-validated
-(:func:`validate_arena_payload`) so the report stays dependency-free and
+embedded golden-style checks that gate the CLI exit code.
+:data:`ARENA_SCHEMA` declares the payload's shape for the stdlib checker
+of :mod:`repro.schema`, so the report stays dependency-free and
 diffable across PRs.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict
-from pathlib import Path
 from typing import Any
 
-from ..provenance import provenance, validate_provenance_block
+from ..analysis.reporting import ascii_table
 from ..scenarios.spec import SCENARIO_KINDS
+from ..schema import (
+    BOOLEAN,
+    Schema,
+    embedded_checks,
+    enum,
+    integer,
+    list_of,
+    nullable,
+    number,
+    obj,
+    string,
+)
 from ..validation.specs import Check
 from ..validation.stats import binomial_ci
 from .diagnosers import BASELINE_NAMES, STRATEGY_NAMES
 from .scoring import CellScore
 
 __all__ = [
+    "ARENA_SCHEMA",
     "ARENA_SCHEMA_ID",
     "arena_checks",
     "arena_payload",
     "cell_payload",
     "crossover_section",
     "leaderboard",
+    "merge_arena",
+    "render_arena",
     "validate_arena_payload",
-    "write_arena_json",
 ]
 
 #: Schema identifier stamped into (and required of) every arena payload.
@@ -408,17 +421,12 @@ def arena_payload(
     """Assemble the schema'd arena report from merged cell dicts.
 
     Derives the leaderboard, crossover section and embedded checks from
-    ``cells``; ``records`` carries per-kind run provenance (config
-    digest, cache hit), mirroring the scenario-matrix report.
+    ``cells``; ``records`` carries per-kind run provenance.
     """
     crossover = crossover_section(cells)
     checks = arena_checks(cells, crossover, random_detect_rate)
     return {
-        "schema": ARENA_SCHEMA_ID,
-        "label": label or preset,
-        "preset": preset,
-        "created_unix": time.time(),
-        "provenance": provenance(),
+        **ARENA_SCHEMA.header(preset, label),
         "detect_floor": detect_floor,
         "random_detect_rate": random_detect_rate,
         "budget": budget,
@@ -432,181 +440,124 @@ def arena_payload(
     }
 
 
-def validate_arena_payload(payload: Any) -> None:
-    """Raise ``ValueError`` listing every way ``payload`` violates the schema."""
-    problems: list[str] = []
+ARENA_SCHEMA = Schema(
+    ARENA_SCHEMA_ID,
+    "arena",
+    detect_floor=number(),
+    random_detect_rate=number(),
+    budget=obj(
+        soft_seconds=nullable(number()), hard_seconds=nullable(number())
+    ),
+    kinds=list_of(enum(SCENARIO_KINDS), nonempty=True),
+    diagnosers=list_of(enum(ALL_DIAGNOSERS), nonempty=True),
+    cells=list_of(
+        obj(
+            diagnoser=enum(ALL_DIAGNOSERS),
+            scenario=enum(SCENARIO_KINDS),
+            n_qubits=integer(4),
+            **{count: integer(0) for count in _CELL_COUNTS},
+            **{mean: number(0) for mean in _CELL_MEANS},
+        ),
+        nonempty=True,
+    ),
+    leaderboard=list_of(
+        obj(diagnoser=enum(ALL_DIAGNOSERS), rank=integer(1)), nonempty=True
+    ),
+    crossover=obj(per_n=list_of(), crossover_n=nullable(integer())),
+    checks=embedded_checks("arena."),
+    records=list_of(
+        obj(kinds=list_of(), config_digest=string(), cache_hit=BOOLEAN)
+    ),
+)
 
-    def _check(cond: bool, message: str) -> None:
-        if not cond:
-            problems.append(message)
+validate_arena_payload = ARENA_SCHEMA.validate
 
-    _check(isinstance(payload, dict), "payload must be a JSON object")
-    if not isinstance(payload, dict):
-        raise ValueError("invalid arena payload: payload must be a JSON object")
-    _check(
-        payload.get("schema") == ARENA_SCHEMA_ID,
-        f"schema must be {ARENA_SCHEMA_ID!r}",
+
+def merge_arena(
+    preset: str,
+    results: list[dict[str, Any]],
+    config: dict[str, Any],
+    records: list[dict[str, Any]],
+) -> dict[str, Any]:
+    """The ``arena`` matrix hook: merge per-kind results into one tournament."""
+    return arena_payload(
+        preset=preset,
+        cells=[cell for result in results for cell in result["cells"]],
+        budget={
+            "soft_seconds": config["soft_seconds"],
+            "hard_seconds": config["hard_seconds"],
+        },
+        detect_floor=float(config["detect_floor"]),
+        random_detect_rate=float(config["random_detect_rate"]),
+        records=records,
     )
-    _check(
-        payload.get("preset") in ("smoke", "full"),
-        "preset must be 'smoke' or 'full'",
-    )
-    _check(
-        isinstance(payload.get("label"), str) and payload.get("label"),
-        "label must be a non-empty string",
-    )
-    _check(
-        isinstance(payload.get("created_unix"), (int, float)),
-        "created_unix must be a number",
-    )
-    problems.extend(validate_provenance_block(payload.get("provenance")))
-    for scalar in ("detect_floor", "random_detect_rate"):
-        _check(
-            isinstance(payload.get(scalar), (int, float)),
-            f"{scalar} must be a number",
+
+
+def _fixed(value: float | None) -> str:
+    return f"{value:.2f}" if value is not None else "-"
+
+
+def render_arena(payload: dict[str, Any]) -> str:
+    """The ``arena`` table hook: leaderboard, per-N shot ratios, crossover."""
+    rows = [
+        [
+            entry["rank"],
+            entry["diagnoser"],
+            (
+                f"{entry['detections']}/{entry['fault_trials']}"
+                if entry["fault_trials"]
+                else "-"
+            ),
+            _fixed(entry["detection_ci_lower"]),
+            _fixed(entry["false_alarm_rate"]),
+            _fixed(entry["mean_precision"]),
+            f"{entry['mean_shots']:.0f}",
+            f"{entry['mean_adaptations']:.1f}",
+            entry["timeouts"],
+        ]
+        for entry in payload["leaderboard"]
+    ]
+    lines = [
+        ascii_table(
+            [
+                "rank",
+                "diagnoser",
+                "detected",
+                "ci-lower",
+                "false-alarm",
+                "precision",
+                "shots",
+                "adapt",
+                "timeouts",
+            ],
+            rows,
+            title=f"diagnoser arena ({payload['preset']})",
         )
-    budget = payload.get("budget")
-    _check(isinstance(budget, dict), "budget must be an object")
-    if isinstance(budget, dict):
-        for bound in ("soft_seconds", "hard_seconds"):
-            value = budget.get(bound)
-            _check(
-                value is None or isinstance(value, (int, float)),
-                f"budget.{bound} must be a number or null",
+    ]
+    crossover = payload["crossover"]
+    for row in crossover["per_n"]:
+        head = f"N={row['n_qubits']}: battery {row['battery_shots']:.0f} shots"
+        if row["shot_ratio"] is None:
+            lines.append(f"{head}, binary-search unmeasured")
+        else:
+            lines.append(
+                f"{head} vs binary-search {row['binary_search_shots']:.0f} "
+                f"(ratio {row['shot_ratio']:.2f})"
             )
-    kinds = payload.get("kinds")
-    _check(
-        isinstance(kinds, list)
-        and kinds
-        and all(k in SCENARIO_KINDS for k in kinds),
-        "kinds must be a non-empty list of known scenario kinds",
-    )
-    diagnosers = payload.get("diagnosers")
-    _check(
-        isinstance(diagnosers, list)
-        and diagnosers
-        and all(d in ALL_DIAGNOSERS for d in diagnosers),
-        "diagnosers must be a non-empty list of registered diagnosers",
-    )
-    cells = payload.get("cells")
-    _check(
-        isinstance(cells, list) and len(cells) > 0,
-        "cells must be a non-empty array",
-    )
-    if isinstance(cells, list):
-        for k, cell in enumerate(cells):
-            where = f"cells[{k}]"
-            if not isinstance(cell, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                cell.get("diagnoser") in ALL_DIAGNOSERS,
-                f"{where}.diagnoser must be a registered diagnoser",
-            )
-            _check(
-                cell.get("scenario") in SCENARIO_KINDS,
-                f"{where}.scenario must be a known kind",
-            )
-            _check(
-                isinstance(cell.get("n_qubits"), int)
-                and cell.get("n_qubits", 0) >= 4,
-                f"{where}.n_qubits must be an integer >= 4",
-            )
-            for count in _CELL_COUNTS:
-                _check(
-                    isinstance(cell.get(count), int)
-                    and cell.get(count, -1) >= 0
-                    and not isinstance(cell.get(count), bool),
-                    f"{where}.{count} must be a non-negative integer",
-                )
-            for mean in _CELL_MEANS:
-                _check(
-                    isinstance(cell.get(mean), (int, float))
-                    and cell.get(mean, -1) >= 0,
-                    f"{where}.{mean} must be a non-negative number",
-                )
-    board = payload.get("leaderboard")
-    _check(
-        isinstance(board, list) and len(board) > 0,
-        "leaderboard must be a non-empty array",
-    )
-    if isinstance(board, list):
-        for k, row in enumerate(board):
-            where = f"leaderboard[{k}]"
-            if not isinstance(row, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                row.get("diagnoser") in ALL_DIAGNOSERS,
-                f"{where}.diagnoser must be a registered diagnoser",
-            )
-            _check(
-                isinstance(row.get("rank"), int) and row.get("rank", 0) >= 1,
-                f"{where}.rank must be a positive integer",
-            )
-    crossover = payload.get("crossover")
-    _check(isinstance(crossover, dict), "crossover must be an object")
-    if isinstance(crossover, dict):
-        per_n = crossover.get("per_n")
-        _check(isinstance(per_n, list), "crossover.per_n must be an array")
-        n_value = crossover.get("crossover_n")
-        _check(
-            n_value is None or isinstance(n_value, int),
-            "crossover.crossover_n must be an integer or null",
+    lines.append(
+        "shot-cost crossover: "
+        + (
+            f"battery cheaper from N={crossover['crossover_n']}"
+            if crossover["crossover_n"] is not None
+            else "not reached in the measured range"
         )
-    checks = payload.get("checks")
-    _check(
-        isinstance(checks, list) and len(checks) > 0,
-        "checks must be a non-empty array",
     )
-    if isinstance(checks, list):
-        for k, check in enumerate(checks):
-            where = f"checks[{k}]"
-            if not isinstance(check, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                isinstance(check.get("check_id"), str)
-                and check.get("check_id", "").startswith("arena."),
-                f"{where}.check_id must be an 'arena.'-prefixed string",
-            )
-            for flag in ("passed", "hard"):
-                _check(
-                    isinstance(check.get(flag), bool),
-                    f"{where}.{flag} must be a boolean",
-                )
-    records = payload.get("records")
-    _check(isinstance(records, list), "records must be an array")
-    if isinstance(records, list):
-        for k, record in enumerate(records):
-            where = f"records[{k}]"
-            if not isinstance(record, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                isinstance(record.get("kinds"), list),
-                f"{where}.kinds must be an array",
-            )
-            _check(
-                isinstance(record.get("config_digest"), str),
-                f"{where}.config_digest must be a string",
-            )
-            _check(
-                isinstance(record.get("cache_hit"), bool),
-                f"{where}.cache_hit must be a boolean",
-            )
-    if problems:
-        raise ValueError("invalid arena payload: " + "; ".join(problems))
-
-
-def write_arena_json(payload: dict[str, Any], out_dir: Path | str) -> Path:
-    """Validate and write the payload as ``<out>/ARENA_<label>.json``."""
-    from ..analysis.runner import _atomic_write_json
-
-    validate_arena_payload(payload)
-    label = "".join(
-        c if c.isalnum() or c in "._-" else "-" for c in str(payload["label"])
+    records = payload["records"]
+    lines.append(
+        f"{len(payload['cells'])} cells across "
+        f"{len(payload['kinds'])} scenario kinds, "
+        f"{len(payload['diagnosers'])} diagnosers "
+        f"({sum(r['cache_hit'] for r in records)}/{len(records)} kind jobs "
+        "cache-served)"
     )
-    path = Path(out_dir) / f"ARENA_{label}.json"
-    _atomic_write_json(path, payload)
-    return path
+    return "\n".join(lines)

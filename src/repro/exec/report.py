@@ -42,23 +42,31 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
-from ..provenance import (
-    payload_fingerprint,
-    provenance,
-    validate_provenance_block,
+from ..provenance import payload_fingerprint
+from ..schema import (
+    Schema,
+    embedded_checks,
+    enum,
+    integer,
+    list_of,
+    number,
+    obj,
+    string,
+    write_report,
 )
 from ..validation.specs import Check
 from .chaos import CHAOS_ENV_VARS, ChaosConfig, _uniform, decide
 from .integrity import QUARANTINE_DIRNAME
 from .journal import load_journal
+from .outcomes import JOB_STATES
 from .retry import RetryPolicy
 
 __all__ = [
+    "CHAOS_SCHEMA",
     "CHAOS_SCHEMA_ID",
     "chaos_checks",
     "run_chaos",
     "validate_chaos_payload",
-    "write_chaos_json",
 ]
 
 #: Schema identifier stamped into (and required of) every chaos payload.
@@ -414,11 +422,7 @@ def run_chaos(
         resume=resume,
     )
     payload = {
-        "schema": CHAOS_SCHEMA_ID,
-        "label": label or preset,
-        "preset": preset,
-        "created_unix": time.time(),
-        "provenance": provenance(),
+        **CHAOS_SCHEMA.header(preset, label),
         "experiment": experiment,
         "sweep": sweep,
         "jobs": jobs,
@@ -432,7 +436,7 @@ def run_chaos(
         "checks": [asdict(check) for check in checks],
         "elapsed_seconds": time.perf_counter() - started,
     }
-    path = write_chaos_json(payload, out_dir)
+    path = write_report(payload, out_dir)
     return payload, path
 
 
@@ -602,135 +606,36 @@ def chaos_checks(
     return checks
 
 
-def validate_chaos_payload(payload: Any) -> None:
-    """Raise ``ValueError`` listing every way ``payload`` violates the schema."""
-    problems: list[str] = []
+_RATE = number(0.0, 1.0)
 
-    def _check(cond: bool, message: str) -> None:
-        if not cond:
-            problems.append(message)
+CHAOS_SCHEMA = Schema(
+    CHAOS_SCHEMA_ID,
+    "chaos",
+    experiment=string(nonempty=True),
+    chaos=obj(
+        crash_rate=_RATE,
+        stall_rate=_RATE,
+        flaky_rate=_RATE,
+        corrupt_rate=_RATE,
+    ),
+    policy=obj(max_attempts=integer(1)),
+    cells=list_of(
+        obj(
+            key=string(nonempty=True),
+            status=enum(JOB_STATES),
+            n_attempts=integer(0),
+            injected=list_of(),
+        ),
+        nonempty=True,
+    ),
+    injected=obj(crash=integer(0), stall=integer(0), flaky=integer(0)),
+    resume=obj(
+        n_points=integer(0),
+        finished_before=integer(0),
+        resumed=integer(0),
+        dispatched=integer(0),
+    ),
+    checks=embedded_checks("chaos."),
+)
 
-    _check(isinstance(payload, dict), "payload must be a JSON object")
-    if not isinstance(payload, dict):
-        raise ValueError("invalid chaos payload: payload must be a JSON object")
-    _check(
-        payload.get("schema") == CHAOS_SCHEMA_ID,
-        f"schema must be {CHAOS_SCHEMA_ID!r}",
-    )
-    _check(
-        isinstance(payload.get("label"), str) and payload.get("label"),
-        "label must be a non-empty string",
-    )
-    _check(
-        payload.get("preset") in ("smoke", "full"),
-        "preset must be 'smoke' or 'full'",
-    )
-    _check(
-        isinstance(payload.get("created_unix"), (int, float)),
-        "created_unix must be a number",
-    )
-    problems.extend(validate_provenance_block(payload.get("provenance")))
-    _check(
-        isinstance(payload.get("experiment"), str) and payload.get("experiment"),
-        "experiment must be a non-empty string",
-    )
-    chaos = payload.get("chaos")
-    _check(isinstance(chaos, dict), "chaos must be an object")
-    if isinstance(chaos, dict):
-        for rate in ("crash_rate", "stall_rate", "flaky_rate", "corrupt_rate"):
-            value = chaos.get(rate)
-            _check(
-                isinstance(value, (int, float)) and 0.0 <= value <= 1.0,
-                f"chaos.{rate} must be a number in [0, 1]",
-            )
-    policy = payload.get("policy")
-    _check(isinstance(policy, dict), "policy must be an object")
-    if isinstance(policy, dict):
-        _check(
-            isinstance(policy.get("max_attempts"), int)
-            and policy.get("max_attempts", 0) >= 1,
-            "policy.max_attempts must be an integer >= 1",
-        )
-    cells = payload.get("cells")
-    _check(
-        isinstance(cells, list) and len(cells) > 0,
-        "cells must be a non-empty array",
-    )
-    if isinstance(cells, list):
-        from .outcomes import JOB_STATES
-
-        for k, cell in enumerate(cells):
-            where = f"cells[{k}]"
-            if not isinstance(cell, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                isinstance(cell.get("key"), str) and cell.get("key"),
-                f"{where}.key must be a non-empty string",
-            )
-            _check(
-                cell.get("status") in JOB_STATES,
-                f"{where}.status must be a known job state",
-            )
-            _check(
-                isinstance(cell.get("n_attempts"), int)
-                and cell.get("n_attempts", -1) >= 0,
-                f"{where}.n_attempts must be a non-negative integer",
-            )
-            _check(
-                isinstance(cell.get("injected"), list),
-                f"{where}.injected must be an array",
-            )
-    injected = payload.get("injected")
-    _check(isinstance(injected, dict), "injected must be an object")
-    if isinstance(injected, dict):
-        for kind in ("crash", "stall", "flaky"):
-            _check(
-                isinstance(injected.get(kind), int)
-                and injected.get(kind, -1) >= 0,
-                f"injected.{kind} must be a non-negative integer",
-            )
-    resume = payload.get("resume")
-    _check(isinstance(resume, dict), "resume must be an object")
-    if isinstance(resume, dict):
-        for key in ("n_points", "finished_before", "resumed", "dispatched"):
-            _check(
-                isinstance(resume.get(key), int) and resume.get(key, -1) >= 0,
-                f"resume.{key} must be a non-negative integer",
-            )
-    checks = payload.get("checks")
-    _check(
-        isinstance(checks, list) and len(checks) > 0,
-        "checks must be a non-empty array",
-    )
-    if isinstance(checks, list):
-        for k, check in enumerate(checks):
-            where = f"checks[{k}]"
-            if not isinstance(check, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                isinstance(check.get("check_id"), str)
-                and check.get("check_id", "").startswith("chaos."),
-                f"{where}.check_id must be a 'chaos.'-prefixed string",
-            )
-            for flag in ("passed", "hard"):
-                _check(
-                    isinstance(check.get(flag), bool),
-                    f"{where}.{flag} must be a boolean",
-                )
-    if problems:
-        raise ValueError("invalid chaos payload: " + "; ".join(problems))
-
-
-def write_chaos_json(payload: dict[str, Any], out_dir: Path | str) -> Path:
-    """Validate and write the payload as ``<out>/CHAOS_<label>.json``."""
-    from ..analysis.runner import _atomic_write_json
-
-    validate_chaos_payload(payload)
-    label = "".join(
-        c if c.isalnum() or c in "._-" else "-" for c in str(payload["label"])
-    )
-    path = Path(out_dir) / f"CHAOS_{label}.json"
-    _atomic_write_json(path, payload)
-    return path
+validate_chaos_payload = CHAOS_SCHEMA.validate

@@ -1,38 +1,53 @@
 """Schema'd fleet reports (``FLEET_<label>.json``).
 
-The fleet runner (:func:`repro.analysis.runner.run_fleet` behind
-``python -m repro fleet``) merges per-policy experiment records into one
+The matrix front door (:func:`repro.analysis.runner.run_matrix` over the
+``fleet`` experiment, behind ``python -m repro fleet``) merges the
+per-policy experiment records through :func:`merge_fleet` into one
 payload: every policy's uptime / throughput / MTTR / corruption cell, a
 leaderboard ranked by good jobs per hour, and embedded golden-style
 checks that gate the CLI exit code — including the Fig. 2
 reconciliation: the simulated point-check baseline must land on the
 paper's duty-cycle fractions, and the battery's measured jobs share must
 agree with what :func:`~repro.trap.duty_cycle.improved_duty_cycle`
-projects from the measured episode speed-up.  Hand-validated like the
-arena and scenario reports, so the artifact stays dependency-free and
-diffable across PRs.
+projects from the measured episode speed-up.  :data:`FLEET_SCHEMA`
+declares the payload's shape for the stdlib checker of
+:mod:`repro.schema`, so the artifact stays dependency-free and diffable
+across PRs.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict
-from pathlib import Path
 from typing import Any
 
-from ..provenance import provenance, validate_provenance_block
+from ..analysis.reporting import ascii_table
+from ..schema import (
+    BOOLEAN,
+    Schema,
+    embedded_checks,
+    enum,
+    integer,
+    list_of,
+    nullable,
+    number,
+    obj,
+    string,
+    where,
+)
 from ..trap.duty_cycle import DutyCycleBreakdown, improved_duty_cycle
 from ..validation.specs import Check
 from .policies import POLICY_NAMES
 from .traps import TRAP_STATES
 
 __all__ = [
+    "FLEET_SCHEMA",
     "FLEET_SCHEMA_ID",
     "fleet_checks",
     "fleet_leaderboard",
     "fleet_payload",
+    "merge_fleet",
+    "render_fleet",
     "validate_fleet_payload",
-    "write_fleet_json",
 ]
 
 #: Schema identifier stamped into (and required of) every fleet payload.
@@ -345,16 +360,11 @@ def fleet_payload(
     """Assemble the schema'd fleet report from merged policy cells.
 
     Derives the leaderboard and embedded checks from ``cells``;
-    ``records`` carries per-policy run provenance (config digest, cache
-    hit), mirroring the arena report.
+    ``records`` carries per-policy run provenance.
     """
     checks = fleet_checks(cells)
     return {
-        "schema": FLEET_SCHEMA_ID,
-        "label": label or preset,
-        "preset": preset,
-        "created_unix": time.time(),
-        "provenance": provenance(),
+        **FLEET_SCHEMA.header(preset, label),
         "detect_floor": detect_floor,
         "corruption_floor": corruption_floor,
         "policies": [cell["policy"] for cell in cells],
@@ -365,205 +375,122 @@ def fleet_payload(
     }
 
 
-def validate_fleet_payload(payload: Any) -> None:
-    """Raise ``ValueError`` listing every way ``payload`` violates the schema."""
-    problems: list[str] = []
+_FRACTION = number(0.0, 1.0)
 
-    def _check(cond: bool, message: str) -> None:
-        if not cond:
-            problems.append(message)
+FLEET_SCHEMA = Schema(
+    FLEET_SCHEMA_ID,
+    "fleet",
+    detect_floor=number(),
+    corruption_floor=number(),
+    policies=list_of(enum(POLICY_NAMES), nonempty=True),
+    cells=list_of(
+        obj(
+            policy=enum(POLICY_NAMES),
+            n_qubits=integer(4),
+            n_traps=integer(1),
+            **{count: integer(0) for count in _CELL_COUNTS},
+            uptime=_FRACTION,
+            corrupted_job_rate=_FRACTION,
+            good_jobs_per_hour=number(0),
+            mttr_seconds=nullable(number(0)),
+            duty_cycle=obj(
+                jobs=_FRACTION,
+                coupling_tests=_FRACTION,
+                other_calibration=_FRACTION,
+            ),
+            traps=list_of(
+                obj(
+                    final_state=enum(TRAP_STATES),
+                    fault_resolutions=obj(),
+                ),
+                nonempty=True,
+            ),
+            final_states=where(
+                lambda v: isinstance(v, dict) and set(v) == set(TRAP_STATES),
+                "an object mapping every defined trap state",
+            ),
+        ),
+        nonempty=True,
+    ),
+    leaderboard=list_of(
+        obj(policy=enum(POLICY_NAMES), rank=integer(1)), nonempty=True
+    ),
+    checks=embedded_checks("fleet."),
+    records=list_of(
+        obj(policies=list_of(), config_digest=string(), cache_hit=BOOLEAN)
+    ),
+)
 
-    _check(isinstance(payload, dict), "payload must be a JSON object")
-    if not isinstance(payload, dict):
-        raise ValueError("invalid fleet payload: payload must be a JSON object")
-    _check(
-        payload.get("schema") == FLEET_SCHEMA_ID,
-        f"schema must be {FLEET_SCHEMA_ID!r}",
+validate_fleet_payload = FLEET_SCHEMA.validate
+
+
+def merge_fleet(
+    preset: str,
+    results: list[dict[str, Any]],
+    config: dict[str, Any],
+    records: list[dict[str, Any]],
+) -> dict[str, Any]:
+    """The ``fleet`` matrix hook: merge per-policy results into one report."""
+    return fleet_payload(
+        preset=preset,
+        cells=[cell for result in results for cell in result["cells"]],
+        detect_floor=float(config["detect_floor"]),
+        corruption_floor=float(config["corruption_floor"]),
+        records=records,
     )
-    _check(
-        payload.get("preset") in ("smoke", "full"),
-        "preset must be 'smoke' or 'full'",
-    )
-    _check(
-        isinstance(payload.get("label"), str) and payload.get("label"),
-        "label must be a non-empty string",
-    )
-    _check(
-        isinstance(payload.get("created_unix"), (int, float)),
-        "created_unix must be a number",
-    )
-    problems.extend(validate_provenance_block(payload.get("provenance")))
-    for scalar in ("detect_floor", "corruption_floor"):
-        _check(
-            isinstance(payload.get(scalar), (int, float)),
-            f"{scalar} must be a number",
+
+
+def render_fleet(payload: dict[str, Any]) -> str:
+    """The ``fleet`` table hook: policy table and per-policy duty cycles."""
+    rows = [
+        [
+            entry["rank"],
+            entry["policy"],
+            f"{entry['uptime']:.3f}",
+            f"{entry['good_jobs_per_hour']:.1f}",
+            f"{entry['corrupted_job_rate']:.3f}",
+            (
+                f"{entry['mttr_seconds']:.0f}"
+                if entry["mttr_seconds"] is not None
+                else "-"
+            ),
+            entry["faults_repaired"],
+            entry["faults_quarantined"],
+            entry["stalls"],
+        ]
+        for entry in payload["leaderboard"]
+    ]
+    lines = [
+        ascii_table(
+            [
+                "rank",
+                "policy",
+                "uptime",
+                "jobs/h",
+                "corrupted",
+                "mttr-s",
+                "repaired",
+                "quarantined",
+                "stalls",
+            ],
+            rows,
+            title=f"fleet maintenance policies ({payload['preset']})",
         )
-    policies = payload.get("policies")
-    _check(
-        isinstance(policies, list)
-        and policies
-        and all(p in POLICY_NAMES for p in policies),
-        "policies must be a non-empty list of known policies",
+    ]
+    for cell in payload["cells"]:
+        duty = cell["duty_cycle"]
+        states = cell["final_states"]
+        lines.append(
+            f"{cell['policy']}: duty jobs {duty['jobs']:.2f} / tests "
+            f"{duty['coupling_tests']:.2f} / other "
+            f"{duty['other_calibration']:.2f}; final states "
+            f"{states['healthy']}H/{states['under-repair']}R/"
+            f"{states['quarantined-degraded']}Q"
+        )
+    records = payload["records"]
+    lines.append(
+        f"{len(payload['cells'])} policy cells "
+        f"({sum(r['cache_hit'] for r in records)}/{len(records)} policy jobs "
+        "cache-served)"
     )
-    cells = payload.get("cells")
-    _check(
-        isinstance(cells, list) and len(cells) > 0,
-        "cells must be a non-empty array",
-    )
-    if isinstance(cells, list):
-        for k, cell in enumerate(cells):
-            where = f"cells[{k}]"
-            if not isinstance(cell, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                cell.get("policy") in POLICY_NAMES,
-                f"{where}.policy must be a known policy",
-            )
-            _check(
-                isinstance(cell.get("n_qubits"), int)
-                and cell.get("n_qubits", 0) >= 4,
-                f"{where}.n_qubits must be an integer >= 4",
-            )
-            _check(
-                isinstance(cell.get("n_traps"), int)
-                and cell.get("n_traps", 0) >= 1,
-                f"{where}.n_traps must be a positive integer",
-            )
-            for count in _CELL_COUNTS:
-                _check(
-                    isinstance(cell.get(count), int)
-                    and not isinstance(cell.get(count), bool)
-                    and cell.get(count, -1) >= 0,
-                    f"{where}.{count} must be a non-negative integer",
-                )
-            uptime = cell.get("uptime")
-            _check(
-                isinstance(uptime, (int, float)) and 0.0 <= uptime <= 1.0,
-                f"{where}.uptime must be a number in [0, 1]",
-            )
-            rate = cell.get("corrupted_job_rate")
-            _check(
-                isinstance(rate, (int, float)) and 0.0 <= rate <= 1.0,
-                f"{where}.corrupted_job_rate must be a number in [0, 1]",
-            )
-            _check(
-                isinstance(cell.get("good_jobs_per_hour"), (int, float))
-                and cell.get("good_jobs_per_hour", -1) >= 0,
-                f"{where}.good_jobs_per_hour must be a non-negative number",
-            )
-            mttr = cell.get("mttr_seconds")
-            _check(
-                mttr is None or (isinstance(mttr, (int, float)) and mttr >= 0),
-                f"{where}.mttr_seconds must be a non-negative number or null",
-            )
-            duty = cell.get("duty_cycle")
-            _check(isinstance(duty, dict), f"{where}.duty_cycle must be an object")
-            if isinstance(duty, dict):
-                for slice_name in ("jobs", "coupling_tests", "other_calibration"):
-                    fraction = duty.get(slice_name)
-                    _check(
-                        isinstance(fraction, (int, float))
-                        and 0.0 <= fraction <= 1.0,
-                        f"{where}.duty_cycle.{slice_name} must be in [0, 1]",
-                    )
-            traps = cell.get("traps")
-            _check(
-                isinstance(traps, list) and len(traps) > 0,
-                f"{where}.traps must be a non-empty array",
-            )
-            if isinstance(traps, list):
-                for j, trap in enumerate(traps):
-                    tw = f"{where}.traps[{j}]"
-                    if not isinstance(trap, dict):
-                        problems.append(f"{tw} must be an object")
-                        continue
-                    _check(
-                        trap.get("final_state") in TRAP_STATES,
-                        f"{tw}.final_state must be a defined trap state",
-                    )
-                    _check(
-                        isinstance(trap.get("fault_resolutions"), dict),
-                        f"{tw}.fault_resolutions must be an object",
-                    )
-            states = cell.get("final_states")
-            _check(
-                isinstance(states, dict)
-                and set(states) == set(TRAP_STATES),
-                f"{where}.final_states must map every defined state",
-            )
-    board = payload.get("leaderboard")
-    _check(
-        isinstance(board, list) and len(board) > 0,
-        "leaderboard must be a non-empty array",
-    )
-    if isinstance(board, list):
-        for k, row in enumerate(board):
-            where = f"leaderboard[{k}]"
-            if not isinstance(row, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                row.get("policy") in POLICY_NAMES,
-                f"{where}.policy must be a known policy",
-            )
-            _check(
-                isinstance(row.get("rank"), int) and row.get("rank", 0) >= 1,
-                f"{where}.rank must be a positive integer",
-            )
-    checks = payload.get("checks")
-    _check(
-        isinstance(checks, list) and len(checks) > 0,
-        "checks must be a non-empty array",
-    )
-    if isinstance(checks, list):
-        for k, check in enumerate(checks):
-            where = f"checks[{k}]"
-            if not isinstance(check, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                isinstance(check.get("check_id"), str)
-                and check.get("check_id", "").startswith("fleet."),
-                f"{where}.check_id must be a 'fleet.'-prefixed string",
-            )
-            for flag in ("passed", "hard"):
-                _check(
-                    isinstance(check.get(flag), bool),
-                    f"{where}.{flag} must be a boolean",
-                )
-    records = payload.get("records")
-    _check(isinstance(records, list), "records must be an array")
-    if isinstance(records, list):
-        for k, record in enumerate(records):
-            where = f"records[{k}]"
-            if not isinstance(record, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                isinstance(record.get("policies"), list),
-                f"{where}.policies must be an array",
-            )
-            _check(
-                isinstance(record.get("config_digest"), str),
-                f"{where}.config_digest must be a string",
-            )
-            _check(
-                isinstance(record.get("cache_hit"), bool),
-                f"{where}.cache_hit must be a boolean",
-            )
-    if problems:
-        raise ValueError("invalid fleet payload: " + "; ".join(problems))
-
-
-def write_fleet_json(payload: dict[str, Any], out_dir: Path | str) -> Path:
-    """Validate and write the payload as ``<out>/FLEET_<label>.json``."""
-    from ..analysis.runner import _atomic_write_json
-
-    validate_fleet_payload(payload)
-    label = "".join(
-        c if c.isalnum() or c in "._-" else "-" for c in str(payload["label"])
-    )
-    path = Path(out_dir) / f"FLEET_{label}.json"
-    _atomic_write_json(path, payload)
-    return path
+    return "\n".join(lines)

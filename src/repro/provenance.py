@@ -106,25 +106,11 @@ def payloads_equivalent(a: Any, b: Any) -> bool:
 def validate_provenance_block(
     block: Any, where: str = "provenance"
 ) -> list[str]:
-    """Schema problems (empty list = valid) for a stamped provenance block.
+    """Schema problems (empty list = valid) for a stamped provenance block:
+    the uniform block every report schema shares
+    (:data:`repro.schema.PROVENANCE`)."""
+    from .schema import PROVENANCE
 
-    Shared by every report validator so ``FLEET_``/``ARENA_``/
-    ``SCENARIOS_``/``CHAOS_`` artifacts carry a *uniform* provenance
-    shape, not merely "some object".
-    """
-    if not isinstance(block, dict):
-        return [f"{where} must be an object"]
     problems: list[str] = []
-    if not (
-        isinstance(block.get("repro_version"), str)
-        and block.get("repro_version")
-    ):
-        problems.append(f"{where}.repro_version must be a non-empty string")
-    if not (
-        block.get("git_sha") is None or isinstance(block.get("git_sha"), str)
-    ):
-        problems.append(f"{where}.git_sha must be a string or null")
-    for key in ("python", "numpy"):
-        if not isinstance(block.get(key), str):
-            problems.append(f"{where}.{key} must be a string")
+    PROVENANCE(block, where, problems)
     return problems

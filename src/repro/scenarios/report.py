@@ -1,35 +1,91 @@
 """Schema'd scenario-matrix reports (``SCENARIOS_<label>.json``).
 
-The scenario-matrix runner (:func:`repro.analysis.runner.run_scenario_matrix`
-behind ``python -m repro scenarios``) merges the per-kind experiment
-records into one matrix payload: every (scenario, machine size) cell's
-per-engine detection counts, identification counts and engine-routing
-flags, plus the fig6 anchor verdicts.  Like the bench registry, the
-schema is deliberately hand-validated (:func:`validate_matrix_payload`)
-so the report stays dependency-free and diffable across PRs.
+The matrix front door (:func:`repro.analysis.runner.run_matrix` over the
+``scenarios`` experiment, behind ``python -m repro scenarios``) merges
+the per-kind experiment records through :func:`merge_matrix` into one
+matrix payload: every (scenario, machine size) cell's per-engine
+detection counts, identification counts and engine-routing flags, plus
+the fig6 anchor verdicts.  :data:`SCENARIO_MATRIX_SCHEMA` declares the
+payload's shape for the stdlib checker of :mod:`repro.schema`, so the
+report stays dependency-free and diffable across PRs.
 """
 
 from __future__ import annotations
 
-import time
-from pathlib import Path
 from typing import Any
 
-from ..provenance import provenance, validate_provenance_block
+from ..analysis.reporting import ascii_table
+from ..schema import (
+    BOOLEAN,
+    Schema,
+    enum,
+    integer,
+    list_of,
+    nullable,
+    number,
+    obj,
+    string,
+    where,
+)
 from .spec import SCENARIO_KINDS
 
 __all__ = [
+    "SCENARIO_MATRIX_SCHEMA",
     "SCENARIO_MATRIX_SCHEMA_ID",
     "matrix_payload",
+    "merge_matrix",
+    "render_matrix",
     "validate_matrix_payload",
-    "write_matrix_json",
 ]
 
 #: Schema identifier stamped into (and required of) every matrix payload.
 SCENARIO_MATRIX_SCHEMA_ID = "repro-scenarios/v1"
 
-#: Per-engine count triples every cell must carry.
-_COUNT_FIELDS = ("detection", "false_flags", "inspec_clean")
+
+def _is_count_triple(entry: Any) -> bool:
+    """``[engine, successes, trials]`` with 0 <= successes <= trials."""
+    return (
+        isinstance(entry, list)
+        and len(entry) == 3
+        and entry[0] in ("xx", "dense")
+        and all(isinstance(count, int) for count in entry[1:])
+        and 0 <= entry[1] <= entry[2]
+    )
+
+
+_COUNTS = list_of(
+    where(_is_count_triple, "an [engine, successes, trials] count triple")
+)
+
+SCENARIO_MATRIX_SCHEMA = Schema(
+    SCENARIO_MATRIX_SCHEMA_ID,
+    "scenario matrix",
+    detect_floor=number(),
+    kinds=list_of(enum(SCENARIO_KINDS), nonempty=True),
+    cells=list_of(
+        obj(
+            scenario=enum(SCENARIO_KINDS),
+            n_qubits=integer(4),
+            xx_preserving=BOOLEAN,
+            fallback_to_dense=BOOLEAN,
+            detection=_COUNTS,
+            false_flags=_COUNTS,
+            inspec_clean=_COUNTS,
+            identification_successes=integer(0),
+            identification_trials=integer(0),
+        ),
+        nonempty=True,
+    ),
+    anchor=obj(
+        largest_resolved_2ms=nullable(BOOLEAN),
+        largest_resolved_4ms=nullable(BOOLEAN),
+    ),
+    records=list_of(
+        obj(kinds=list_of(), config_digest=string(), cache_hit=BOOLEAN)
+    ),
+)
+
+validate_matrix_payload = SCENARIO_MATRIX_SCHEMA.validate
 
 
 def matrix_payload(
@@ -48,11 +104,7 @@ def matrix_payload(
     exactly which cached results it merged.
     """
     return {
-        "schema": SCENARIO_MATRIX_SCHEMA_ID,
-        "label": label or preset,
-        "preset": preset,
-        "created_unix": time.time(),
-        "provenance": provenance(),
+        **SCENARIO_MATRIX_SCHEMA.header(preset, label),
         "detect_floor": detect_floor,
         "kinds": sorted({cell["scenario"] for cell in cells}),
         "cells": cells,
@@ -61,143 +113,69 @@ def matrix_payload(
     }
 
 
-def validate_matrix_payload(payload: Any) -> None:
-    """Raise ``ValueError`` listing every way ``payload`` violates the schema."""
-    problems: list[str] = []
+def merge_matrix(
+    preset: str,
+    results: list[dict[str, Any]],
+    config: dict[str, Any],
+    records: list[dict[str, Any]],
+) -> dict[str, Any]:
+    """The ``scenarios`` matrix hook: merge per-kind results into one report.
 
-    def _check(cond: bool, message: str) -> None:
-        if not cond:
-            problems.append(message)
-
-    def _counts_ok(value: Any) -> bool:
-        """[[engine, successes, trials], ...] with 0 <= successes <= trials."""
-        if not isinstance(value, list):
-            return False
-        for entry in value:
-            if not (isinstance(entry, list) and len(entry) == 3):
-                return False
-            engine, successes, trials = entry
-            if engine not in ("xx", "dense"):
-                return False
-            if not (
-                isinstance(successes, int)
-                and isinstance(trials, int)
-                and 0 <= successes <= trials
-            ):
-                return False
-        return True
-
-    _check(isinstance(payload, dict), "payload must be a JSON object")
-    if isinstance(payload, dict):
-        _check(
-            payload.get("schema") == SCENARIO_MATRIX_SCHEMA_ID,
-            f"schema must be {SCENARIO_MATRIX_SCHEMA_ID!r}",
-        )
-        _check(
-            payload.get("preset") in ("smoke", "full"),
-            "preset must be 'smoke' or 'full'",
-        )
-        _check(
-            isinstance(payload.get("label"), str) and payload.get("label"),
-            "label must be a non-empty string",
-        )
-        _check(
-            isinstance(payload.get("created_unix"), (int, float)),
-            "created_unix must be a number",
-        )
-        problems.extend(validate_provenance_block(payload.get("provenance")))
-        _check(
-            isinstance(payload.get("detect_floor"), (int, float)),
-            "detect_floor must be a number",
-        )
-        kinds = payload.get("kinds")
-        _check(
-            isinstance(kinds, list)
-            and kinds
-            and all(k in SCENARIO_KINDS for k in kinds),
-            "kinds must be a non-empty list of known scenario kinds",
-        )
-        cells = payload.get("cells")
-        _check(
-            isinstance(cells, list) and len(cells) > 0,
-            "cells must be a non-empty array",
-        )
-        if isinstance(cells, list):
-            for k, cell in enumerate(cells):
-                where = f"cells[{k}]"
-                if not isinstance(cell, dict):
-                    problems.append(f"{where} must be an object")
-                    continue
-                _check(
-                    cell.get("scenario") in SCENARIO_KINDS,
-                    f"{where}.scenario must be a known kind",
-                )
-                _check(
-                    isinstance(cell.get("n_qubits"), int)
-                    and cell.get("n_qubits", 0) >= 4,
-                    f"{where}.n_qubits must be an integer >= 4",
-                )
-                for flag in ("xx_preserving", "fallback_to_dense"):
-                    _check(
-                        isinstance(cell.get(flag), bool),
-                        f"{where}.{flag} must be a boolean",
-                    )
-                for field in _COUNT_FIELDS:
-                    _check(
-                        _counts_ok(cell.get(field)),
-                        f"{where}.{field} must be [[engine, successes, "
-                        "trials], ...] count triples",
-                    )
-                for field in (
-                    "identification_successes",
-                    "identification_trials",
-                ):
-                    _check(
-                        isinstance(cell.get(field), int)
-                        and cell.get(field, -1) >= 0,
-                        f"{where}.{field} must be a non-negative integer",
-                    )
-        anchor = payload.get("anchor")
-        _check(isinstance(anchor, dict), "anchor must be an object")
-        if isinstance(anchor, dict):
-            for field in ("largest_resolved_2ms", "largest_resolved_4ms"):
-                _check(
-                    anchor.get(field) is None
-                    or isinstance(anchor.get(field), bool),
-                    f"anchor.{field} must be a boolean or null",
-                )
-        records = payload.get("records")
-        _check(isinstance(records, list), "records must be an array")
-        if isinstance(records, list):
-            for k, record in enumerate(records):
-                where = f"records[{k}]"
-                if not isinstance(record, dict):
-                    problems.append(f"{where} must be an object")
-                    continue
-                _check(
-                    isinstance(record.get("kinds"), list),
-                    f"{where}.kinds must be an array",
-                )
-                _check(
-                    isinstance(record.get("config_digest"), str),
-                    f"{where}.config_digest must be a string",
-                )
-                _check(
-                    isinstance(record.get("cache_hit"), bool),
-                    f"{where}.cache_hit must be a boolean",
-                )
-    if problems:
-        raise ValueError("invalid scenario matrix payload: " + "; ".join(problems))
-
-
-def write_matrix_json(payload: dict[str, Any], out_dir: Path | str) -> Path:
-    """Validate and write the payload as ``<out>/SCENARIOS_<label>.json``."""
-    from ..analysis.runner import _atomic_write_json
-
-    validate_matrix_payload(payload)
-    label = "".join(
-        c if c.isalnum() or c in "._-" else "-" for c in str(payload["label"])
+    Concatenates every kind's cells and keeps the fig6 anchor verdicts of
+    the (single) record that ran the anchor.
+    """
+    anchor = {"largest_resolved_2ms": None, "largest_resolved_4ms": None}
+    for result in results:
+        if result.get("anchor_largest_resolved_2ms") is not None:
+            anchor = {key: result[f"anchor_{key}"] for key in anchor}
+    return matrix_payload(
+        preset=preset,
+        cells=[cell for result in results for cell in result["cells"]],
+        anchor=anchor,
+        detect_floor=float(config["detect_floor"]),
+        records=records,
     )
-    path = Path(out_dir) / f"SCENARIOS_{label}.json"
-    _atomic_write_json(path, payload)
-    return path
+
+
+def render_matrix(payload: dict[str, Any]) -> str:
+    """The ``scenarios`` table hook: per-engine cell table and anchor line."""
+    rows = []
+    for cell in payload["cells"]:
+        detection = {e: (s, t) for e, s, t in cell["detection"]}
+        for engine in cell["engines"]:
+            s, t = detection.get(engine, (0, 0))
+            rows.append(
+                [
+                    cell["scenario"],
+                    cell["n_qubits"],
+                    engine,
+                    "xx+dense" if cell["xx_preserving"] else "dense-only",
+                    f"{s}/{t}" if t else "-",
+                    (
+                        f"{cell['identification_successes']}"
+                        f"/{cell['identification_trials']}"
+                    ),
+                ]
+            )
+    lines = [
+        ascii_table(
+            ["scenario", "N", "engine", "routing", "detected", "identified"],
+            rows,
+            title=f"fault-scenario matrix ({payload['preset']})",
+        )
+    ]
+    anchor = payload["anchor"]
+    if anchor["largest_resolved_2ms"] is not None:
+        lines.append(
+            "fig6 anchor (Sec. VI noise, paper thresholds): 47% fault "
+            f"resolved 2-MS {anchor['largest_resolved_2ms']}, "
+            f"4-MS {anchor['largest_resolved_4ms']}"
+        )
+    records = payload["records"]
+    lines.append(
+        f"{len(payload['cells'])} cells across "
+        f"{len(payload['kinds'])} scenario kinds "
+        f"({sum(r['cache_hit'] for r in records)}/{len(records)} kind jobs "
+        "cache-served)"
+    )
+    return "\n".join(lines)

@@ -11,11 +11,10 @@ kinds map one-to-one onto the repo's existing front doors:
     :func:`repro.analysis.runner.run_experiment` — payload
     ``{"name": ..., "preset": ..., "overrides": {...}}``.
 ``scenarios`` / ``arena`` / ``fleet``
-    The matrix / tournament / fleet front doors
-    (:func:`~repro.analysis.runner.run_scenario_matrix`,
-    :func:`~repro.analysis.runner.run_arena`,
-    :func:`~repro.analysis.runner.run_fleet`) — payload
-    ``{"preset": ..., "kinds"|"policies": [...], "overrides": {...}}``.
+    The matrix front door :func:`~repro.analysis.runner.run_matrix` over
+    the experiment of the same name — payload
+    ``{"preset": ..., "kinds"|"policies": [...], "overrides": {...}}``,
+    the values under the experiment's ``MatrixSpec.record_key``.
 ``diagnose``
     A single bounded diagnosis of one machine snapshot: the payload
     names a scenario cell (``scenario``, ``n_qubits``, ``trial``) and a
@@ -185,9 +184,12 @@ def _run_experiment_job(payload: dict[str, Any], cache_dir: str) -> dict[str, An
 def _run_matrix_job(
     kind: str, payload: dict[str, Any], cache_dir: str
 ) -> dict[str, Any]:
-    from ..analysis import runner
+    from ..analysis.registry import get_experiment
+    from ..analysis.runner import run_matrix
 
-    common = dict(
+    report, _ = run_matrix(
+        kind,
+        payload.get(get_experiment(kind).matrix.record_key),
         preset=payload.get("preset", "smoke"),
         overrides=payload.get("overrides"),
         jobs=1,  # the service already supervises this job; no nested pools
@@ -195,14 +197,6 @@ def _run_matrix_job(
         use_cache=payload.get("use_cache", True),
         force=payload.get("force", False),
     )
-    if kind == "scenarios":
-        report, _ = runner.run_scenario_matrix(
-            kinds=payload.get("kinds"), **common
-        )
-    elif kind == "arena":
-        report, _ = runner.run_arena(kinds=payload.get("kinds"), **common)
-    else:
-        report, _ = runner.run_fleet(policies=payload.get("policies"), **common)
     return report
 
 

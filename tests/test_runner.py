@@ -185,3 +185,27 @@ def test_cli_run_emits_json(tmp_path):
     )
     assert rerun.returncode == 0, rerun.stderr
     assert "cache" in rerun.stdout
+
+
+def test_cli_and_service_start_up_without_the_experiments():
+    """Building the CLI parser and importing the service's HTTP face
+    leave the experiment modules unimported (they cost start-up time)."""
+    probe = (
+        "import sys\n"
+        "import repro.__main__\n"
+        "repro.__main__._build_parser()\n"
+        "import repro.service.http\n"
+        "print('repro.analysis.experiments' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={
+            "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+            "PATH": "/usr/bin:/bin",
+        },
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -13,8 +13,8 @@ from repro.scenarios import (
     build_scenario,
     matrix_payload,
     validate_matrix_payload,
-    write_matrix_json,
 )
+from repro.schema import write_report
 from repro.trap.faults import Determinism, TimeScale, Unitarity
 from repro.trap.machine import VirtualIonTrap
 
@@ -112,7 +112,7 @@ def test_matrix_payload_schema_round_trip(tmp_path):
         records=[{"kinds": ["over-rotation"], "config_digest": "ab", "cache_hit": False}],
     )
     validate_matrix_payload(payload)
-    path = write_matrix_json(payload, tmp_path)
+    path = write_report(payload, tmp_path)
     assert path.name == "SCENARIOS_smoke.json"
 
     broken = dict(payload, schema="bench/v0")
@@ -125,10 +125,18 @@ def test_matrix_payload_schema_round_trip(tmp_path):
         validate_matrix_payload(dict(payload, cells=[]))
 
 
-def test_run_scenario_matrix_merges_and_caches(tmp_path):
-    """Per-kind jobs cache independently and merge into one report."""
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        ["over-rotation", "phase-miscalibration"],
+        ["over-rotation", "phase-miscalibration", "over-rotation"],
+    ],
+    ids=["distinct", "doubled-kind"],
+)
+def test_run_scenario_matrix_merges_and_caches(tmp_path, kinds):
+    """Per-kind jobs cache independently and merge into one report;
+    a repeated kind runs (and merges) once."""
     cache = tmp_path / "cache"
-    kinds = ["over-rotation", "phase-miscalibration"]
     overrides = {
         "qubit_counts": [5],
         "shots": 60,
@@ -138,16 +146,21 @@ def test_run_scenario_matrix_merges_and_caches(tmp_path):
         "verify_shots": 100,
         "fig6_anchor": False,
     }
-    payload, records = runner.run_scenario_matrix(
-        "smoke",
-        kinds=kinds,
+    payload, records = runner.run_matrix(
+        "scenarios",
+        kinds,
+        preset="smoke",
         overrides=overrides,
         cache_dir=cache,
     )
     validate_matrix_payload(payload)
-    assert payload["kinds"] == sorted(kinds)
-    assert {c["scenario"] for c in payload["cells"]} == set(kinds)
-    assert all(not r.cache_hit for r in records)
+    assert payload["kinds"] == sorted(set(kinds))
+    assert sorted(c["scenario"] for c in payload["cells"]) == sorted(set(kinds))
+    assert [r["kinds"] for r in payload["records"]] == [
+        ["over-rotation"],
+        ["phase-miscalibration"],
+    ]
+    assert len(records) == 2 and all(not r.cache_hit for r in records)
     over = next(
         c for c in payload["cells"] if c["scenario"] == "over-rotation"
     )
@@ -157,60 +170,122 @@ def test_run_scenario_matrix_merges_and_caches(tmp_path):
     assert over["engines"] == ["xx", "dense"] and not over["fallback_to_dense"]
     assert phase["engines"] == ["dense"] and phase["fallback_to_dense"]
     # A rerun is served from the per-kind cache entries.
-    payload2, records2 = runner.run_scenario_matrix(
-        "smoke", kinds=kinds, overrides=overrides, cache_dir=cache
+    payload2, records2 = runner.run_matrix(
+        "scenarios", kinds, preset="smoke", overrides=overrides, cache_dir=cache
     )
     assert all(r.cache_hit for r in records2)
     assert payload2["cells"] == payload["cells"]
     with pytest.raises(ValueError, match="unknown scenario kinds"):
-        runner.run_scenario_matrix("smoke", kinds=["warp-core"], cache_dir=cache)
+        runner.run_matrix("scenarios", ["warp-core"], cache_dir=cache)
     # An explicit kinds argument wins over a "scenarios" override (the
     # sweep owns that field); the combination must not trip the sweep's
     # duplicate-override guard.
-    payload3, _ = runner.run_scenario_matrix(
-        "smoke",
-        kinds=["over-rotation"],
+    payload3, _ = runner.run_matrix(
+        "scenarios",
+        ["over-rotation"],
+        preset="smoke",
         overrides={**overrides, "scenarios": ["phase-miscalibration"]},
         cache_dir=cache,
     )
     assert payload3["kinds"] == ["over-rotation"]
 
 
-def test_scenarios_cli_emits_schema_valid_report(tmp_path, monkeypatch):
-    """python -m repro scenarios writes SCENARIOS_<preset>.json."""
+#: Tiny per-front-door sweeps: (axis flag, axis value, --set overrides).
+FRONT_DOORS = {
+    "scenarios": (
+        "--kind",
+        "correlated-burst",
+        {
+            "qubit_counts": [5],
+            "detection_trials": 2,
+            "identification_trials": 1,
+            "baseline_trials": 2,
+            "shots": 60,
+            "verify_shots": 100,
+            "fig6_anchor": False,
+        },
+    ),
+    "arena": (
+        "--kind",
+        "over-rotation",
+        {
+            "qubit_counts": [5],
+            "diagnosers": ["battery", "null"],
+            "trials": 1,
+            "clean_trials": 1,
+            "baseline_trials": 2,
+            "shots": 60,
+            "verify_shots": 100,
+        },
+    ),
+    "fleet": (
+        "--policy",
+        "battery",
+        {
+            "n_traps": 1,
+            "horizon_seconds": 3600.0,
+            "baseline_trials": 2,
+            "shots": 60,
+            "verify_shots": 100,
+        },
+    ),
+}
+
+
+def _without(payload, key):
+    """``payload`` with ``key`` dropped at every depth."""
+    if isinstance(payload, dict):
+        return {k: _without(v, key) for k, v in payload.items() if k != key}
+    if isinstance(payload, list):
+        return [_without(v, key) for v in payload]
+    return payload
+
+
+@pytest.mark.parametrize("command", sorted(FRONT_DOORS))
+def test_scenarios_cli_emits_schema_valid_report(tmp_path, monkeypatch, command):
+    """Each matrix front door writes <PREFIX>_smoke.json, and the CLI, a
+    direct run_matrix call and a service job agree on the payload."""
     import json
 
     from repro.__main__ import main
+    from repro.provenance import payloads_equivalent
+    from repro.schema import validate_report
+    from repro.service import DiagnosisService, ServiceClient
 
+    flag, value, overrides = FRONT_DOORS[command]
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    code = main(
-        [
-            "scenarios",
-            "--smoke",
-            "--kind",
-            "correlated-burst",
-            "--out",
-            str(tmp_path),
-            "--set",
-            "qubit_counts=[5]",
-            "--set",
-            "detection_trials=2",
-            "--set",
-            "identification_trials=1",
-            "--set",
-            "baseline_trials=2",
-            "--set",
-            "shots=60",
-            "--set",
-            "verify_shots=100",
-            "--set",
-            "fig6_anchor=false",
-        ]
+    argv = [command, "--smoke", flag, value, "--out", str(tmp_path)]
+    for field, setting in overrides.items():
+        argv += ["--set", f"{field}={json.dumps(setting)}"]
+    code = main(argv)
+    prefix = {"scenarios": "SCENARIOS", "arena": "ARENA", "fleet": "FLEET"}
+    cli = json.loads((tmp_path / f"{prefix[command]}_smoke.json").read_text())
+    validate_report(cli)
+    hard_failed = any(c["hard"] and not c["passed"] for c in cli.get("checks", []))
+    assert code == int(hard_failed)
+    assert [record["cache_hit"] for record in cli["records"]] == [False]
+
+    direct, _ = runner.run_matrix(
+        command,
+        [value],
+        preset="smoke",
+        overrides=overrides,
+        cache_dir=tmp_path / "direct-cache",
     )
-    assert code == 0
-    payload = json.loads((tmp_path / "SCENARIOS_smoke.json").read_text())
-    validate_matrix_payload(payload)
-    assert payload["kinds"] == ["correlated-burst"]
+    key = "policies" if command == "fleet" else "kinds"
+    with DiagnosisService(tmp_path / "svc", workers=1) as svc:
+        client = ServiceClient(svc)
+        job_id = client.submit(
+            command, {"preset": "smoke", key: [value], "overrides": overrides}
+        )
+        assert client.wait(job_id, timeout=120) == "done"
+        served = client.result(job_id)["result"]
+    # Wall-clock is the one arena field two identical runs disagree on.
+    cli, direct, served = (
+        _without(p, "mean_wall_seconds") for p in (cli, direct, served)
+    )
+    assert payloads_equivalent(cli, direct)
+    assert payloads_equivalent(cli, served)
 
 
 def test_scenario_cell_is_execution_order_independent():
