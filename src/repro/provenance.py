@@ -24,7 +24,6 @@ __all__ = [
     "payloads_equivalent",
     "provenance",
     "strip_volatile",
-    "validate_provenance_block",
 ]
 
 #: Payload keys that legitimately differ between equivalent runs:
@@ -101,16 +100,3 @@ def payload_fingerprint(payload: Any) -> str:
 def payloads_equivalent(a: Any, b: Any) -> bool:
     """Whether two payloads agree modulo provenance/timing/integrity."""
     return payload_fingerprint(a) == payload_fingerprint(b)
-
-
-def validate_provenance_block(
-    block: Any, where: str = "provenance"
-) -> list[str]:
-    """Schema problems (empty list = valid) for a stamped provenance block:
-    the uniform block every report schema shares
-    (:data:`repro.schema.PROVENANCE`)."""
-    from .schema import PROVENANCE
-
-    problems: list[str] = []
-    PROVENANCE(block, where, problems)
-    return problems

@@ -18,8 +18,8 @@ from repro.provenance import (
     payload_fingerprint,
     payloads_equivalent,
     strip_volatile,
-    validate_provenance_block,
 )
+from repro.schema import PROVENANCE
 
 
 def test_stamp_verify_round_trip(tmp_path):
@@ -134,13 +134,18 @@ def test_payload_fingerprint_ignores_provenance_only_diffs():
     assert not payloads_equivalent(a, c)
 
 
-def test_validate_provenance_block_flags_each_field():
-    assert validate_provenance_block(None)
-    assert validate_provenance_block({"repro_version": ""})
+def test_provenance_rule_flags_each_field():
+    def problems(block):
+        found = []
+        PROVENANCE(block, "provenance", found)
+        return found
+
+    assert problems(None)
+    assert problems({"repro_version": ""})
     good = {
         "repro_version": "1.8.0",
         "git_sha": None,
         "python": "3.11.0",
         "numpy": "1.26.0",
     }
-    assert validate_provenance_block(good) == []
+    assert problems(good) == []
