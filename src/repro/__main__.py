@@ -1186,7 +1186,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         message = exc.args[0] if exc.args else str(exc)
         raise SystemExit(f"error: {message}") from exc
     render = registry.get_experiment(args.command).matrix.render
-    table, _, headline = render(payload).rpartition("\n")
+    table, headline = render(payload)
     print(table)
     code = _print_checks(payload.get("checks", []))
     path = write_report(payload, args.out)

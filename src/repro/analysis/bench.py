@@ -58,7 +58,6 @@ from ..schema import (
     Schema,
     integer,
     list_of,
-    nullable,
     number,
     obj,
     string,
@@ -479,8 +478,6 @@ def bench_payload(
 BENCH_SCHEMA = Schema(
     BENCH_SCHEMA_ID,
     "bench",
-    # A bench record's stamp needs only the version and the commit.
-    provenance=obj(repro_version=string(), git_sha=nullable(string())),
     cases=list_of(
         obj(
             name=string(nonempty=True),

@@ -60,9 +60,9 @@ class MatrixSpec:
         from the per-value results, the first record's config and the
         per-record provenance.
     render:
-        ``render(payload) -> str``: the human report.  The CLI prints its
-        last line, the headline, after the embedded checks and appends
-        the report's path.
+        ``render(payload) -> (table, headline)``: the human report.  The
+        CLI prints the table, then the embedded checks, then the one-line
+        headline with the report's path appended.
     """
 
     axis: str
@@ -70,7 +70,7 @@ class MatrixSpec:
     values: tuple[str, ...]
     noun: str
     merge: Callable[..., dict[str, Any]]
-    render: Callable[[dict[str, Any]], str]
+    render: Callable[[dict[str, Any]], tuple[str, str]]
 
 
 @dataclasses.dataclass(frozen=True)

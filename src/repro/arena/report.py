@@ -497,8 +497,9 @@ def _fixed(value: float | None) -> str:
     return f"{value:.2f}" if value is not None else "-"
 
 
-def render_arena(payload: dict[str, Any]) -> str:
-    """The ``arena`` table hook: leaderboard, per-N shot ratios, crossover."""
+def render_arena(payload: dict[str, Any]) -> tuple[str, str]:
+    """The ``arena`` table hook: leaderboard, per-N shot ratios, crossover;
+    the headline counts cells, kinds, diagnosers and cache-served jobs."""
     rows = [
         [
             entry["rank"],
@@ -553,11 +554,11 @@ def render_arena(payload: dict[str, Any]) -> str:
         )
     )
     records = payload["records"]
-    lines.append(
+    headline = (
         f"{len(payload['cells'])} cells across "
         f"{len(payload['kinds'])} scenario kinds, "
         f"{len(payload['diagnosers'])} diagnosers "
         f"({sum(r['cache_hit'] for r in records)}/{len(records)} kind jobs "
         "cache-served)"
     )
-    return "\n".join(lines)
+    return "\n".join(lines), headline

@@ -440,8 +440,9 @@ def merge_fleet(
     )
 
 
-def render_fleet(payload: dict[str, Any]) -> str:
-    """The ``fleet`` table hook: policy table and per-policy duty cycles."""
+def render_fleet(payload: dict[str, Any]) -> tuple[str, str]:
+    """The ``fleet`` table hook: policy table and per-policy duty cycles;
+    the headline counts cells and cache-served jobs."""
     rows = [
         [
             entry["rank"],
@@ -488,9 +489,9 @@ def render_fleet(payload: dict[str, Any]) -> str:
             f"{states['quarantined-degraded']}Q"
         )
     records = payload["records"]
-    lines.append(
+    headline = (
         f"{len(payload['cells'])} policy cells "
         f"({sum(r['cache_hit'] for r in records)}/{len(records)} policy jobs "
         "cache-served)"
     )
-    return "\n".join(lines)
+    return "\n".join(lines), headline

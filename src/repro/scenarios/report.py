@@ -137,8 +137,9 @@ def merge_matrix(
     )
 
 
-def render_matrix(payload: dict[str, Any]) -> str:
-    """The ``scenarios`` table hook: per-engine cell table and anchor line."""
+def render_matrix(payload: dict[str, Any]) -> tuple[str, str]:
+    """The ``scenarios`` table hook: per-engine cell table and anchor line;
+    the headline counts cells, kinds and cache-served jobs."""
     rows = []
     for cell in payload["cells"]:
         detection = {e: (s, t) for e, s, t in cell["detection"]}
@@ -172,10 +173,10 @@ def render_matrix(payload: dict[str, Any]) -> str:
             f"4-MS {anchor['largest_resolved_4ms']}"
         )
     records = payload["records"]
-    lines.append(
+    headline = (
         f"{len(payload['cells'])} cells across "
         f"{len(payload['kinds'])} scenario kinds "
         f"({sum(r['cache_hit'] for r in records)}/{len(records)} kind jobs "
         "cache-served)"
     )
-    return "\n".join(lines)
+    return "\n".join(lines), headline

@@ -159,19 +159,12 @@ class Schema:
 
     Every report carries the same header: ``schema`` (this id), a
     non-empty ``label``, ``preset`` (``smoke``/``full``), a numeric
-    ``created_unix`` and a ``provenance`` block (:data:`PROVENANCE`
-    unless overridden), followed by the declared ``fields``.  The file
-    prefix is the upper-cased id stem: ``repro-arena/v1`` writes
-    ``ARENA_<label>.json``.
+    ``created_unix`` and a :data:`PROVENANCE` block, followed by the
+    declared ``fields``.  The file prefix is the upper-cased id stem:
+    ``repro-arena/v1`` writes ``ARENA_<label>.json``.
     """
 
-    def __init__(
-        self,
-        schema_id: str,
-        name: str,
-        provenance: Rule = PROVENANCE,
-        **fields: Rule,
-    ):
+    def __init__(self, schema_id: str, name: str, **fields: Rule):
         self.id = schema_id
         self.name = name
         self.prefix = schema_id.split("/")[0].removeprefix("repro-").upper()
@@ -180,7 +173,7 @@ class Schema:
             label=string(nonempty=True),
             preset=enum(("smoke", "full")),
             created_unix=number(),
-            provenance=provenance,
+            provenance=PROVENANCE,
             **fields,
         )
         _SCHEMAS[schema_id] = self

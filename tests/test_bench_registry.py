@@ -51,7 +51,12 @@ def test_validator_rejects_malformed_payloads():
         "label": "x",
         "preset": "smoke",
         "created_unix": 0.0,
-        "provenance": {"repro_version": "1.0", "git_sha": None},
+        "provenance": {
+            "repro_version": "1.0",
+            "git_sha": None,
+            "python": "3.11.7",
+            "numpy": "2.4.6",
+        },
         "cases": [
             {
                 "name": "c",
