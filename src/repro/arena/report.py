@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Any
 
-from ..analysis.reporting import ascii_table
 from ..scenarios.spec import SCENARIO_KINDS
 from ..schema import (
     BOOLEAN,
@@ -500,6 +499,10 @@ def _fixed(value: float | None) -> str:
 def render_arena(payload: dict[str, Any]) -> tuple[str, str]:
     """The ``arena`` table hook: leaderboard, per-N shot ratios, crossover;
     the headline counts cells, kinds, diagnosers and cache-served jobs."""
+    # Imported here: importing repro.analysis at module level would make
+    # ``import repro`` load the runner and the execution layer.
+    from ..analysis.reporting import ascii_table
+
     rows = [
         [
             entry["rank"],

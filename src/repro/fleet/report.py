@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Any
 
-from ..analysis.reporting import ascii_table
 from ..schema import (
     BOOLEAN,
     Schema,
@@ -443,6 +442,10 @@ def merge_fleet(
 def render_fleet(payload: dict[str, Any]) -> tuple[str, str]:
     """The ``fleet`` table hook: policy table and per-policy duty cycles;
     the headline counts cells and cache-served jobs."""
+    # Imported here: importing repro.analysis at module level would make
+    # ``import repro`` load the runner and the execution layer.
+    from ..analysis.reporting import ascii_table
+
     rows = [
         [
             entry["rank"],

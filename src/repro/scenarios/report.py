@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..analysis.reporting import ascii_table
 from ..schema import (
     BOOLEAN,
     Schema,
@@ -140,6 +139,10 @@ def merge_matrix(
 def render_matrix(payload: dict[str, Any]) -> tuple[str, str]:
     """The ``scenarios`` table hook: per-engine cell table and anchor line;
     the headline counts cells, kinds and cache-served jobs."""
+    # Imported here: importing repro.analysis at module level would make
+    # ``import repro`` load the runner and the execution layer.
+    from ..analysis.reporting import ascii_table
+
     rows = []
     for cell in payload["cells"]:
         detection = {e: (s, t) for e, s, t in cell["detection"]}

@@ -188,10 +188,13 @@ def test_cli_run_emits_json(tmp_path):
 
 
 def test_cli_and_service_start_up_without_the_experiments():
-    """Building the CLI parser and importing the service's HTTP face
-    leave the experiment modules unimported (they cost start-up time)."""
+    """``import repro`` leaves the runner unimported; building the CLI
+    parser and importing the service's HTTP face leave the experiment
+    modules unimported (they cost start-up time)."""
     probe = (
         "import sys\n"
+        "import repro\n"
+        "print('repro.analysis' in sys.modules)\n"
         "import repro.__main__\n"
         "repro.__main__._build_parser()\n"
         "import repro.service.http\n"
@@ -208,4 +211,4 @@ def test_cli_and_service_start_up_without_the_experiments():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False", "False"]
