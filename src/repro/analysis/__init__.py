@@ -2,19 +2,15 @@
 
 from .detection import (
     CalibratedThresholds,
-    calibrate_thresholds,
     threshold_from_baseline,
-    two_cluster_threshold,
 )
 from .registry import ExperimentSpec, all_experiments, experiment_names, get_experiment
-from .reporting import ascii_table, format_percent, series_csv
+from .reporting import ascii_table, series_csv
 from .runner import RunRecord, run_experiment, run_many
 
 __all__ = [
     "CalibratedThresholds",
-    "calibrate_thresholds",
     "threshold_from_baseline",
-    "two_cluster_threshold",
     "ExperimentSpec",
     "all_experiments",
     "experiment_names",
@@ -23,6 +19,5 @@ __all__ = [
     "run_experiment",
     "run_many",
     "ascii_table",
-    "format_percent",
     "series_csv",
 ]

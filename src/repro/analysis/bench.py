@@ -18,8 +18,9 @@ Registered cases
     The compiled-battery magnitude-broadcast fig8 sweep vs the PR 1
     batched per-point loop (the headline case of PR 2).
 ``fig6-dense``
-    The fig6 experiment with its batteries evaluated through compiled
-    dense plans vs the per-test executor loop (``compiled=False``).
+    The fig6 batteries over replicate machines, evaluated through warm
+    compiled dense plans vs the per-test executor loop on a
+    ``dense_compiled=False`` machine.
 ``fig7-dense``
     The headline dense-plan case: the fig7 threshold-calibration
     battery (2/4/8-repetition families) evaluated for 24 trials of each

@@ -28,9 +28,7 @@ import numpy as np
 
 __all__ = [
     "threshold_from_baseline",
-    "two_cluster_threshold",
     "CalibratedThresholds",
-    "calibrate_thresholds",
     "BaselineBank",
 ]
 
@@ -59,28 +57,6 @@ def threshold_from_baseline(
     if relative:
         return base * (1.0 - margin)
     return base - margin
-
-
-def two_cluster_threshold(fidelities: np.ndarray) -> float:
-    """Otsu-style split of a mixed fidelity population into two clusters.
-
-    Maximizes between-class variance over candidate cut points; used when
-    fault and no-fault fidelities are observed together and the operator
-    wants the contrast-maximizing cut (the Fig. 5 adjustment rule).
-    """
-    values = np.sort(np.asarray(fidelities, dtype=float))
-    if values.size < 2:
-        raise ValueError("need at least two fidelities to split")
-    best_cut = values[0]
-    best_score = -1.0
-    for k in range(1, values.size):
-        lo, hi = values[:k], values[k:]
-        w0, w1 = lo.size / values.size, hi.size / values.size
-        score = w0 * w1 * (hi.mean() - lo.mean()) ** 2
-        if score > best_score:
-            best_score = score
-            best_cut = (lo.max() + hi.min()) / 2.0
-    return float(best_cut)
 
 
 @dataclass
@@ -154,46 +130,3 @@ class BaselineBank:
         from few calibration trials.
         """
         return self.verify_mean - margin * max(self.verify_std, min_std)
-
-
-def calibrate_thresholds(
-    machine_factory,
-    specs_by_key,
-    shots: int = 300,
-    trials: int = 20,
-    quantile: float = 0.02,
-    margin: float = 0.05,
-) -> CalibratedThresholds:
-    """Measure fault-free baselines and derive thresholds.
-
-    Parameters
-    ----------
-    machine_factory:
-        Zero-argument callable returning a *fault-free* machine with the
-        target noise configuration (fresh seed per call is fine).
-    specs_by_key:
-        Mapping ``(repetitions, kind) -> list[TestSpec]`` of representative
-        tests to baseline.
-    shots, trials:
-        Sampling effort per spec.
-    quantile, margin:
-        Passed to :func:`threshold_from_baseline`.
-    """
-    from ..core.protocol import TestExecutor
-
-    calibrated = CalibratedThresholds()
-    for (repetitions, kind), specs in specs_by_key.items():
-        fidelities: list[float] = []
-        for trial in range(trials):
-            machine = machine_factory()
-            executor = TestExecutor(machine, thresholds=calibrated, shots=shots)
-            for spec in specs:
-                fidelities.append(executor.execute(spec).fidelity)
-        calibrated.set(
-            repetitions,
-            kind,
-            threshold_from_baseline(
-                np.array(fidelities), quantile=quantile, margin=margin
-            ),
-        )
-    return calibrated

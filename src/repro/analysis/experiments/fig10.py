@@ -83,12 +83,6 @@ class Sec9Headline:
     point_check_seconds: float
     point_check_per_coupling: float
 
-    @property
-    def matches_paper(self) -> bool:
-        """Paper: ~10 s full diagnosis; point checks over a minute."""
-        return self.non_adaptive_seconds < 20.0 and self.point_check_seconds > 60.0
-
-
 def sec9_headline(
     timing: TimingModel | None = None, shots: int = 300, repetitions: int = 4
 ) -> Sec9Headline:

@@ -19,7 +19,7 @@ deterministic miscalibration, with stochastic noise unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -30,7 +30,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -38,7 +37,11 @@ from typing import Any
 
 import numpy as np
 
-from ..exec.integrity import load_verified_json, stamp_integrity
+from ..exec.integrity import (
+    atomic_write_json,
+    load_verified_json,
+    stamp_integrity,
+)
 from ..exec.journal import JournalWriter, load_journal
 from ..exec.outcomes import JobOutcome, raise_outcome
 from ..exec.pool import run_supervised
@@ -224,21 +227,6 @@ def _cache_path(cache_dir: Path, name: str, digest: str) -> Path:
     return cache_dir / f"{name}-{digest}.json"
 
 
-def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def run_experiment(
     name: str,
     preset: str = "smoke",
@@ -309,7 +297,7 @@ def run_experiment(
     }
     stamp_integrity(payload)
     if use_cache:
-        _atomic_write_json(path, payload)
+        atomic_write_json(path, payload)
         # Chaos corruption hook: a no-op unless REPRO_CHAOS_CORRUPT_RATE
         # is armed, in which case this entry may be sabotaged on disk to
         # exercise the quarantine path (the in-memory record stays good).
@@ -824,7 +812,7 @@ def write_json(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{_out_stem(record, suffix)}.json"
-    _atomic_write_json(path, record.payload)
+    atomic_write_json(path, record.payload)
     return path
 
 

@@ -183,14 +183,6 @@ class CellScore:
         """Fraction of fault trials detected."""
         return self.detections / self.fault_trials if self.fault_trials else None
 
-    def false_alarm_rate(self) -> float | None:
-        """Fraction of clean trials spuriously detected."""
-        return self.false_alarms / self.clean_trials if self.clean_trials else None
-
-    def isolation_rate(self) -> float | None:
-        """Fraction of fault trials whose top claim is the worst fault."""
-        return self.isolated / self.fault_trials if self.fault_trials else None
-
     def mean_precision(self) -> float | None:
         """Mean isolation precision over fault trials."""
         return self.precision_sum / self.fault_trials if self.fault_trials else None

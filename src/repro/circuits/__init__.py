@@ -2,7 +2,6 @@
 
 from .coupling_usage import (
     SuiteUsage,
-    apply_mapping,
     coupling_usage,
     map_around_faults,
     suite_usage,
@@ -24,7 +23,6 @@ from .library import (
 
 __all__ = [
     "SuiteUsage",
-    "apply_mapping",
     "coupling_usage",
     "map_around_faults",
     "suite_usage",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sim.circuit import Circuit, Operation
+from ..sim.circuit import Circuit
 from .library import build_suite
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "SuiteUsage",
     "suite_usage",
     "map_around_faults",
-    "apply_mapping",
 ]
 
 Pair = frozenset[int]
@@ -68,20 +67,6 @@ def suite_usage(n_qubits: int) -> SuiteUsage:
     used = {name: len(coupling_usage(c)) for name, c in suite.items()}
     fractions = {name: usage_fraction(c) for name, c in suite.items()}
     return SuiteUsage(n_qubits=n_qubits, used=used, fractions=fractions)
-
-
-def apply_mapping(circuit: Circuit, mapping: dict[int, int]) -> Circuit:
-    """Relabel a circuit's qubits by the given permutation."""
-    if sorted(mapping) != list(range(circuit.n_qubits)) or sorted(
-        mapping.values()
-    ) != list(range(circuit.n_qubits)):
-        raise ValueError("mapping must be a permutation of the qubit labels")
-    out = Circuit(circuit.n_qubits)
-    for op in circuit.ops:
-        out.append(
-            Operation(op.gate, tuple(mapping[q] for q in op.qubits), op.params)
-        )
-    return out
 
 
 def map_around_faults(

@@ -14,7 +14,7 @@ couplings are removed from future consideration and the search repeats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .combinatorics import all_couplings
 from .protocol import TestExecutor

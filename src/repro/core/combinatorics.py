@@ -31,13 +31,9 @@ __all__ = [
     "num_bits",
     "bit",
     "subcube_class",
-    "equal_bits_class",
     "class_pairs",
     "shared_bits",
-    "is_bit_complementary",
     "syndrome_of_pair",
-    "xor_signature",
-    "pair_classes_membership",
     "all_couplings",
 ]
 
@@ -69,26 +65,6 @@ def subcube_class(i: int, b: int, n_qubits: int) -> list[int]:
     return [q for q in range(n_qubits) if bit(q, i) == b]
 
 
-def equal_bits_class(
-    j: int, n_qubits: int, positions: list[int] | None = None
-) -> list[int]:
-    """Class ``[j, =]`` over the given bit ``positions``.
-
-    Contains qubit indices whose bits at ``positions[j-1]`` and
-    ``positions[j]`` are equal.  ``positions`` defaults to all bit
-    positions ``0..n-1`` (the Sec. V-A construction); the single-fault
-    protocol passes the *free* positions left open by a syndrome, which
-    corresponds to the paper's renumber-the-bits adaptation.
-    """
-    n = num_bits(n_qubits)
-    if positions is None:
-        positions = list(range(n))
-    if not 1 <= j < len(positions):
-        raise ValueError(f"j={j} out of range for {len(positions)} positions")
-    lo, hi = positions[j - 1], positions[j]
-    return [q for q in range(n_qubits) if bit(q, lo) == bit(q, hi)]
-
-
 def class_pairs(
     members: list[int], relevant: set[Pair] | None = None
 ) -> list[Pair]:
@@ -105,11 +81,6 @@ def shared_bits(p: int, q: int, n: int) -> list[tuple[int, int]]:
     return [(i, bit(p, i)) for i in range(n) if bit(p, i) == bit(q, i)]
 
 
-def is_bit_complementary(p: int, q: int, n: int) -> bool:
-    """True iff ``p`` and ``q`` differ in every one of the ``n`` bits."""
-    return (p ^ q) == (1 << n) - 1
-
-
 def syndrome_of_pair(pair: Pair, n_qubits: int) -> frozenset[tuple[int, int]]:
     """The set of ``(i, b)`` class tests a faulty ``pair`` would fail.
 
@@ -119,28 +90,6 @@ def syndrome_of_pair(pair: Pair, n_qubits: int) -> frozenset[tuple[int, int]]:
     p, q = sorted(pair)
     n = num_bits(n_qubits)
     return frozenset(shared_bits(p, q, n))
-
-
-def xor_signature(value: int, positions: list[int]) -> int:
-    """Consecutive-XOR signature over the given bit positions.
-
-    Bit ``j-1`` of the result is ``bit(value, positions[j-1]) XOR
-    bit(value, positions[j])``.  Two integers that are bit-complementary
-    on ``positions`` share the same signature (Theorem V.7's proof), and
-    distinct complementary pairs have distinct signatures.
-    """
-    if len(positions) < 1:
-        raise ValueError("need at least one position")
-    sig = 0
-    for j in range(1, len(positions)):
-        x = bit(value, positions[j - 1]) ^ bit(value, positions[j])
-        sig |= x << (j - 1)
-    return sig
-
-
-def pair_classes_membership(pair: Pair, n_qubits: int) -> int:
-    """Number of ``(i, b)`` classes containing the pair (Lemma V.3 bound)."""
-    return len(syndrome_of_pair(pair, n_qubits))
 
 
 def all_couplings(n_qubits: int) -> list[Pair]:

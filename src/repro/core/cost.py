@@ -7,9 +7,7 @@ Sec. V-C summarizes the cost of the full protocol:
   **circuit runs**, where ``s`` is shots per circuit and ``R`` the number
   of repetition configurations checked by the magnitude search.
 
-:class:`CostTracker` counts what actually happened; the module-level
-formulas compute the paper's predictions so tests and benchmarks can
-compare the two.
+:class:`CostTracker` counts what actually happened.
 """
 
 from __future__ import annotations
@@ -18,11 +16,7 @@ from dataclasses import dataclass, field
 
 from .tests_builder import TestSpec
 
-__all__ = [
-    "CostTracker",
-    "predicted_adaptations",
-    "predicted_circuit_runs",
-]
+__all__ = ["CostTracker"]
 
 
 @dataclass
@@ -43,35 +37,3 @@ class CostTracker:
     def record_adaptation(self, reason: str = "") -> None:
         """One round of classical feedback: decide + recompile + upload."""
         self.adaptations += 1
-
-    def merged_with(self, other: "CostTracker") -> "CostTracker":
-        """A new tracker summing this session's costs with ``other``'s."""
-        merged = CostTracker(
-            adaptations=self.adaptations + other.adaptations,
-            circuit_runs=self.circuit_runs + other.circuit_runs,
-            shots=self.shots + other.shots,
-        )
-        for kind_map in (self.runs_by_kind, other.runs_by_kind):
-            for kind, count in kind_map.items():
-                merged.runs_by_kind[kind] = merged.runs_by_kind.get(kind, 0) + count
-        return merged
-
-
-def predicted_adaptations(k_faults: int) -> int:
-    """Sec. V-C: ``4k + 1`` adaptations to diagnose ``k`` faults."""
-    if k_faults < 0:
-        raise ValueError("fault count must be non-negative")
-    return 4 * k_faults + 1
-
-
-def predicted_circuit_runs(
-    k_faults: int, n_bits: int, repetition_configs: int
-) -> int:
-    """Sec. V-C: ``k * (3n + R)`` circuit runs (excluding the shot factor).
-
-    The paper quotes ``k s (3n + R)`` total shots; dividing by ``s`` gives
-    the number of distinct circuit executions.
-    """
-    if k_faults < 0 or n_bits < 1 or repetition_configs < 0:
-        raise ValueError("invalid cost parameters")
-    return k_faults * (3 * n_bits + repetition_configs)

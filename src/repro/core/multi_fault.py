@@ -120,12 +120,6 @@ class MagnitudeSearchConfig:
     def canary_repetitions(self) -> int:
         return self.repetition_configs[-1]
 
-    @property
-    def r_count(self) -> int:
-        """R in the paper's cost formula ks(3n + R)."""
-        return len(self.repetition_configs)
-
-
 def battery_specs(
     n_qubits: int, repetitions: int, relevant: set[Pair] | None = None
 ) -> list[TestSpec]:

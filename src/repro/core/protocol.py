@@ -27,7 +27,6 @@ __all__ = [
     "FixedThresholds",
     "TestResult",
     "TestExecutor",
-    "DiagnosisReport",
     "compiled_test",
     "measure_fidelity",
     "compile_test_battery",
@@ -312,25 +311,3 @@ def execute_compiled_battery(
             )
         )
     return results
-
-
-@dataclass
-class DiagnosisReport:
-    """What a diagnosis session concluded and what it cost."""
-
-    identified: list[Pair]
-    results: list[TestResult]
-    adaptations: int
-    circuit_runs: int
-    shots: int
-
-    def summary(self) -> str:
-        """One-line human rendering of the diagnosis outcome."""
-        found = (
-            ", ".join("{%d,%d}" % tuple(sorted(p)) for p in self.identified)
-            or "none"
-        )
-        return (
-            f"faulty couplings: {found} | adaptations: {self.adaptations} | "
-            f"circuit runs: {self.circuit_runs} | shots: {self.shots}"
-        )

@@ -21,7 +21,7 @@ not yet diagnosed, or simply unused) only shrinks the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .combinatorics import bit, num_bits, subcube_class
 from .protocol import TestExecutor, TestResult
@@ -43,11 +43,6 @@ class SingleFaultDiagnosis:
     results: tuple[TestResult, ...]
     adaptations: int
     verified: bool | None = None
-
-    @property
-    def test_count(self) -> int:
-        return len(self.results)
-
 
 @dataclass
 class SingleFaultProtocol:

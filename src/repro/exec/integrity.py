@@ -10,7 +10,9 @@ The checksum covers the canonical JSON serialisation of the payload
 round-trip byte-for-byte (Python's ``json`` emits ``repr``-exact floats
 and parses them back losslessly).
 
-On read, :func:`load_verified_json` re-derives the checksum.  A
+Writes go through :func:`atomic_write_json` (write a temporary file,
+then rename), so a reader never sees a half-written entry.  On read,
+:func:`load_verified_json` re-derives the checksum.  A
 mismatch — or JSON that no longer parses at all — means the entry was
 corrupted on disk; the file is *quarantined* (moved into
 ``<cache_dir>/quarantine/``, never deleted: it is evidence) and the
@@ -22,11 +24,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 from typing import Any
 
 __all__ = [
     "QUARANTINE_DIRNAME",
+    "atomic_write_json",
     "load_verified_json",
     "payload_checksum",
     "quarantine_file",
@@ -67,6 +72,27 @@ def verify_payload(payload: dict[str, Any]) -> str:
     if block.get("payload_sha256") == payload_checksum(payload):
         return "ok"
     return "mismatch"
+
+
+def atomic_write_json(path: Path | str, payload: dict[str, Any]) -> None:
+    """Write ``payload`` as indented, key-sorted JSON via write-then-rename.
+
+    The payload is serialized before any file is created, and a failed
+    write removes its temporary file, so a failure at any point leaves
+    the previous file at ``path`` untouched and nothing beside it.
+    """
+    path = Path(path)
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def quarantine_file(path: Path | str, cache_dir: Path | str | None = None) -> Path:

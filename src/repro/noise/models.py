@@ -80,29 +80,6 @@ class NoiseParameters:
         """Sec. VII scaling study: amplitude noise only."""
         return cls(amplitude_sigma=0.10)
 
-    @classmethod
-    def amplitude_only(
-        cls, sigma: float = 0.10, spam: SpamModel | None = None
-    ) -> "NoiseParameters":
-        """Amplitude noise at ``sigma`` (optionally with a SPAM channel).
-
-        The XX-preserving environment the fault-scenario taxonomy builds
-        on: readout errors keep realizations X-diagonal (SPAM enters at
-        sampling time), so scenarios in this environment run on both the
-        exact XX engine and the dense plans.
-        """
-        return cls(amplitude_sigma=sigma, spam=spam)
-
-    @classmethod
-    def paper_physical(cls) -> "NoiseParameters":
-        """Sec. VI physical validation: all sources on."""
-        return cls(
-            amplitude_sigma=0.10,
-            phase_noise_rms=0.05,
-            residual_odd_population=0.01,
-            spam=SpamModel(p01=0.005, p10=0.005),
-        )
-
     def is_xx_preserving(self) -> bool:
         """True if noisy MS realizations remain diagonal in the X basis."""
         return self.phase_noise_rms == 0.0 and self.residual_odd_population == 0.0

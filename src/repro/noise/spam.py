@@ -1,13 +1,9 @@
 """State-preparation and measurement (SPAM) error model.
 
 Sec. III notes that SPAM errors on ion-trap QCs are below 1 % and stable,
-so they "can be addressed in post-processing".  We implement both halves:
-
-* :class:`SpamModel` applies independent per-qubit readout bit flips to
-  sampled counts (``p01`` = P(read 1 | true 0), ``p10`` = P(read 0 | true 1)).
-* :func:`SpamModel.correct_counts` inverts the per-qubit confusion matrix
-  (the data-processing correction of Shen & Duan [41]) to recover the
-  underlying distribution from observed counts.
+so they "can be addressed in post-processing".  :class:`SpamModel`
+applies independent per-qubit readout bit flips to sampled counts
+(``p01`` = P(read 1 | true 0), ``p10`` = P(read 0 | true 1)).
 """
 
 from __future__ import annotations
@@ -36,18 +32,6 @@ class SpamModel:
                 raise ValueError(f"{name}={p} must be in [0, 0.5)")
         self.p01 = p01
         self.p10 = p10
-
-    @property
-    def asymmetry(self) -> float:
-        """Signed readout asymmetry ``p01 - p10``.
-
-        Real ion-trap readout is asymmetric (dark-to-bright scatter vs
-        bright-state decay differ); the asymmetric-SPAM fault scenario
-        exercises the nonzero case end to end.
-        """
-        return self.p01 - self.p10
-
-    # -- forward channel -------------------------------------------------------
 
     def apply_to_counts(
         self, counts: Counts, n_qubits: int, rng: np.random.Generator
@@ -80,38 +64,3 @@ class SpamModel:
             bit = (expected >> (n_qubits - 1 - q)) & 1
             factor *= (1.0 - self.p10) if bit else (1.0 - self.p01)
         return factor
-
-    # -- post-processing correction ---------------------------------------------
-
-    def confusion_matrix(self) -> np.ndarray:
-        """Single-qubit confusion matrix ``C[observed, true]``."""
-        return np.array(
-            [[1.0 - self.p01, self.p10], [self.p01, 1.0 - self.p10]]
-        )
-
-    def correct_counts(self, counts: Counts, n_qubits: int) -> dict[int, float]:
-        """Invert the readout channel on observed counts.
-
-        Returns a (possibly slightly negative, unnormalized) quasi-
-        distribution over basis states; callers typically clip at zero.
-        Cost is O(2^n * shots_distinct) per qubit via tensor-structured
-        inversion, fine for the protocol scales (n <= 32 but tests touch
-        <= 16 qubits; dense correction is used for n <= 20).
-        """
-        if n_qubits > 20:
-            raise ValueError("dense SPAM correction limited to 20 qubits")
-        dim = 2**n_qubits
-        vec = np.zeros(dim)
-        for bitstring, count in counts.items():
-            vec[bitstring] = count
-        inv = np.linalg.inv(self.confusion_matrix())
-        # Apply the inverse qubit-by-qubit using the statevector reshaping
-        # trick (the channel is a tensor product of 2x2 maps).
-        tensor = vec.reshape((2,) * n_qubits)
-        for q in range(n_qubits):
-            tensor = np.moveaxis(tensor, q, 0)
-            shape = tensor.shape
-            tensor = (inv @ tensor.reshape(2, -1)).reshape(shape)
-            tensor = np.moveaxis(tensor, 0, q)
-        corrected = tensor.reshape(-1)
-        return {i: float(corrected[i]) for i in range(dim) if abs(corrected[i]) > 1e-12}

@@ -216,12 +216,12 @@ def write_report(payload: dict[str, Any], out_dir: Path | str) -> Path:
     The schema, and with it the file prefix, is looked up from the
     payload's own ``schema`` id.
     """
-    from .analysis.runner import _atomic_write_json
+    from .exec.integrity import atomic_write_json
 
     schema = validate_report(payload)
     label = "".join(
         c if c.isalnum() or c in "._-" else "-" for c in str(payload["label"])
     )
     path = Path(out_dir) / f"{schema.prefix}_{label}.json"
-    _atomic_write_json(path, payload)
+    atomic_write_json(path, payload)
     return path

@@ -40,14 +40,17 @@ as an explicit error instead of silently serving garbage.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 import uuid
 from pathlib import Path
 from typing import Any
 
-from ..exec.integrity import load_verified_json, stamp_integrity
+from ..exec.integrity import (
+    atomic_write_json,
+    load_verified_json,
+    stamp_integrity,
+)
 from ..exec.outcomes import JobOutcome
 from ..exec.pool import run_supervised
 from ..exec.retry import RetryPolicy
@@ -523,7 +526,7 @@ class DiagnosisService:
                 "result": outcome.value,
             }
             stamp_integrity(artifact)
-            _atomic_write_json(result_path, artifact)
+            atomic_write_json(result_path, artifact)
         self.store.record_done(
             job.job_id,
             state,
@@ -606,11 +609,3 @@ class DiagnosisService:
             "journal": journal_stats,
             "swept": swept,
         }
-
-
-def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
-    """Write-then-rename so readers never see a half-written artifact."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    os.replace(tmp, path)

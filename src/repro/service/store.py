@@ -4,7 +4,7 @@ The store is an append-only ``service.journal.jsonl`` written through
 the sweep-journal machinery (:class:`repro.exec.journal.JournalWriter`:
 one atomic ``os.write`` per record on an ``O_APPEND`` descriptor), so a
 ``kill -9`` at any byte can at worst tear the final line — earlier
-records are never corrupted and :func:`JobStore.replay` tolerates the
+records are never corrupted and :func:`replay_store` tolerates the
 torn tail exactly like :func:`repro.exec.journal.load_journal`.
 
 Record shapes (``repro-service/v1``)::
@@ -163,20 +163,13 @@ class JobStore:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    # ------------------------------------------------------------ replay
-
-    def replay(self) -> dict[str, JobRecord]:
-        """Fold the journal into each job's latest state.
-
-        Tolerates a torn final line (the ``kill -9`` signature) and
-        skips records for specs that no longer validate — a store from
-        a newer schema must not brick an older service.
-        """
-        return replay_store(self.path)
-
 
 def replay_store(path: Path | str) -> dict[str, JobRecord]:
     """Parse a service journal into ``{job_id: JobRecord}``.
+
+    Tolerates a torn final line (the ``kill -9`` signature) and skips
+    records for specs that no longer validate — a store from a newer
+    schema must not brick an older service.
 
     Journals from before the scheduler era carry no ``seq`` — those
     jobs get their file position as the sequence number, which is the

@@ -266,17 +266,6 @@ class Circuit:
         """Number of two-qubit gate applications (a proxy for test depth)."""
         return len(self.two_qubit_ops())
 
-    def unitary(self) -> np.ndarray:
-        """Dense unitary of the whole circuit (reference; small circuits)."""
-        if self.n_qubits > 12:
-            raise ValueError("dense unitary limited to 12 qubits")
-        dim = 2**self.n_qubits
-        u = np.eye(dim, dtype=complex)
-        for op in self.ops:
-            full = gates.gate_on_qubits(op.matrix(), op.qubits, self.n_qubits)
-            u = full @ u
-        return u
-
     def copy(self) -> "Circuit":
         """Shallow copy with an independent operation list."""
         return Circuit(self.n_qubits, list(self.ops))

@@ -7,9 +7,7 @@ All matrices follow the conventions of the paper (Sec. II-A and Fig. 4):
 * ``M(theta, phi1, phi2)`` — the general native two-qubit Molmer-Sorensen
   (MS) gate.  ``M(theta, 0, 0)`` equals ``XX(theta) = exp(-i theta XX / 2)``.
 
-Gates are returned as dense ``numpy`` arrays of ``complex128``.  Helper
-predicates (``is_unitary``) and algebraic utilities (``kron_n``,
-``gate_on_qubits``) support testing and reference computations.
+Gates are returned as dense ``numpy`` arrays of ``complex128``.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ __all__ = [
     "ry",
     "rz",
     "r_gate",
-    "phase_axis",
     "xx",
     "ms_gate",
     "r_gate_batch",
@@ -42,12 +39,6 @@ __all__ = [
     "cnot",
     "cz",
     "swap",
-    "controlled",
-    "is_unitary",
-    "kron_n",
-    "gate_on_qubits",
-    "global_phase_aligned",
-    "allclose_up_to_phase",
 ]
 
 # ---------------------------------------------------------------------------
@@ -81,11 +72,6 @@ def rz(theta: float) -> np.ndarray:
     return np.array(
         [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]], dtype=complex
     )
-
-
-def phase_axis(phi: float) -> np.ndarray:
-    """The Pauli axis ``cos(phi) X + sin(phi) Y`` used by native gates."""
-    return math.cos(phi) * X + math.sin(phi) * Y
 
 
 def r_gate(theta: float, phi: float) -> np.ndarray:
@@ -232,84 +218,3 @@ def swap() -> np.ndarray:
     m = np.eye(4, dtype=complex)
     m[[1, 2]] = m[[2, 1]]
     return m
-
-
-def controlled(u: np.ndarray) -> np.ndarray:
-    """Two-qubit controlled-``u`` with qubit 0 as control."""
-    m = np.eye(4, dtype=complex)
-    m[2:, 2:] = u
-    return m
-
-
-# ---------------------------------------------------------------------------
-# Utilities.
-# ---------------------------------------------------------------------------
-
-
-def is_unitary(u: np.ndarray, atol: float = 1e-10) -> bool:
-    """Return True iff ``u`` is unitary within ``atol``."""
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=atol)
-
-
-def kron_n(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of the given matrices, left-to-right."""
-    out = np.array([[1.0 + 0.0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
-def gate_on_qubits(
-    u: np.ndarray, qubits: tuple[int, ...], n_qubits: int
-) -> np.ndarray:
-    """Embed gate ``u`` acting on ``qubits`` into an ``n_qubits`` operator.
-
-    Qubit 0 is the most-significant bit of the basis index, matching the
-    statevector simulator's convention.  This builds a dense 2^n x 2^n
-    matrix and is intended for reference computations in tests, not for
-    production simulation.
-    """
-    k = len(qubits)
-    if u.shape != (2**k, 2**k):
-        raise ValueError(f"gate shape {u.shape} does not act on {k} qubits")
-    if len(set(qubits)) != k:
-        raise ValueError("duplicate qubits in gate application")
-    if any(q < 0 or q >= n_qubits for q in qubits):
-        raise ValueError("qubit index out of range")
-
-    dim = 2**n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    rest = [q for q in range(n_qubits) if q not in qubits]
-    for col in range(dim):
-        col_bits = [(col >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits)]
-        sub_col = 0
-        for q in qubits:
-            sub_col = (sub_col << 1) | col_bits[q]
-        for sub_row in range(2**k):
-            amp = u[sub_row, sub_col]
-            if amp == 0.0:
-                continue
-            row_bits = list(col_bits)
-            for idx, q in enumerate(qubits):
-                row_bits[q] = (sub_row >> (k - 1 - idx)) & 1
-            row = 0
-            for b in row_bits:
-                row = (row << 1) | b
-            out[row, col] += amp
-    return out
-
-
-def global_phase_aligned(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Return ``u`` rescaled by a global phase to best match ``v``."""
-    inner = np.vdot(v, u)
-    if abs(inner) < 1e-14:
-        return u
-    return u * (np.conj(inner) / abs(inner))
-
-
-def allclose_up_to_phase(u: np.ndarray, v: np.ndarray, atol: float = 1e-9) -> bool:
-    """True iff ``u == e^{i phase} v`` for some global phase."""
-    return np.allclose(global_phase_aligned(u, v), v, atol=atol)

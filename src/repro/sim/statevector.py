@@ -18,19 +18,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import gates
-from .circuit import Circuit, Operation
-from .sampling import Counts, sample_counts_from_probs
+from .circuit import Circuit
+from .sampling import sample_counts_from_probs
 
 __all__ = [
     "StatevectorSimulator",
     "BatchedStatevectorSimulator",
     "zero_state",
     "simulate",
-    "circuits_aligned",
     "axis_permutations",
     "permutation_cache_info",
     "subregister_bitstring",
-    "batched_matrices",
     "batched_matrices_from_params",
     "realization_chunks",
     "MAX_DENSE_QUBITS",
@@ -78,10 +76,6 @@ class StatevectorSimulator:
 
     # -- state evolution -----------------------------------------------------
 
-    def reset(self) -> None:
-        """Re-initialize to ``|0...0>`` (qubit re-initialization)."""
-        self.state = zero_state(self.n_qubits)
-
     def apply_gate(self, u: np.ndarray, qubits: tuple[int, ...]) -> None:
         """Apply gate matrix ``u`` to the given qubits in place."""
         k = len(qubits)
@@ -119,18 +113,6 @@ class StatevectorSimulator:
     def probability_of(self, bitstring: int) -> float:
         """Probability of measuring the given basis state (as an integer)."""
         return float(np.abs(self.state[bitstring]) ** 2)
-
-    def amplitude_of(self, bitstring: int) -> complex:
-        """Amplitude of the given basis state."""
-        return complex(self.state[bitstring])
-
-    def sample(self, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample ``shots`` measurement outcomes (basis-state integers)."""
-        probs = self.probabilities()
-        # Guard against tiny negative values from floating-point error.
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
-        return rng.choice(len(probs), size=shots, p=probs)
 
     def sample_counts(self, shots: int, rng: np.random.Generator) -> dict[int, int]:
         """Sample and aggregate outcomes into a ``{bitstring: count}`` map.
@@ -243,25 +225,6 @@ def subregister_bitstring(
     return sub, False
 
 
-def circuits_aligned(circuits: list[Circuit]) -> bool:
-    """True if all circuits share one op skeleton (gate names and qubits).
-
-    Noise realizations of the same nominal circuit differ only in gate
-    *parameters*; their op lists align slot by slot, which lets the whole
-    batch evolve through one fused gate application per slot.
-    """
-    if not circuits:
-        return False
-    first = circuits[0]
-    for other in circuits[1:]:
-        if other.n_qubits != first.n_qubits or len(other.ops) != len(first.ops):
-            return False
-        for a, b in zip(first.ops, other.ops):
-            if a.gate != b.gate or a.qubits != b.qubits:
-                return False
-    return True
-
-
 def batched_matrices_from_params(gate: str, params: np.ndarray) -> np.ndarray:
     """Gate matrices for one op slot from a ``(B, n_params)`` array.
 
@@ -293,14 +256,6 @@ def batched_matrices_from_params(gate: str, params: np.ndarray) -> np.ndarray:
         raise ValueError(f"gate {gate!r} has no batched construction")
     matrix = fixed[gate]
     return np.broadcast_to(matrix, (n_batch,) + matrix.shape)
-
-
-def batched_matrices(ops: list[Operation]) -> np.ndarray:
-    """Gate matrices for one op slot across the batch, shape ``(B, d, d)``."""
-    params = np.array([op.params for op in ops], dtype=float).reshape(
-        len(ops), -1
-    )
-    return batched_matrices_from_params(ops[0].gate, params)
 
 
 class BatchedStatevectorSimulator:
@@ -383,59 +338,3 @@ class BatchedStatevectorSimulator:
         psi = np.matmul(us, psi)
         psi = psi.reshape(shape).transpose(inverse)
         self.states = np.ascontiguousarray(psi).reshape(self.batch, -1)
-
-    def run_aligned(self, circuits: list[Circuit]) -> np.ndarray:
-        """Evolve every batch entry through its circuit; returns the states.
-
-        The circuits must satisfy :func:`circuits_aligned` and match the
-        batch size.
-        """
-        if len(circuits) != self.batch:
-            raise ValueError(
-                f"{len(circuits)} circuits for a batch of {self.batch}"
-            )
-        if circuits[0].n_qubits != self.n_qubits:
-            raise ValueError(
-                f"circuits are on {circuits[0].n_qubits} qubits, "
-                f"simulator on {self.n_qubits}"
-            )
-        if not circuits_aligned(circuits):
-            raise ValueError("circuits do not share an op skeleton")
-        for slot in range(len(circuits[0].ops)):
-            ops = [c.ops[slot] for c in circuits]
-            self.apply_gates(batched_matrices(ops), ops[0].qubits)
-        return self.states
-
-    def probabilities(self) -> np.ndarray:
-        """Measurement probabilities, shape ``(B, 2^n)``."""
-        return np.abs(self.states) ** 2
-
-    def probability_of(self, bitstring: int) -> np.ndarray:
-        """Per-batch-entry probability of one basis state, shape ``(B,)``."""
-        return np.abs(self.states[:, bitstring]) ** 2
-
-    def sample_counts_per_entry(
-        self, shots_per_entry: list[int], rng: np.random.Generator
-    ) -> list[Counts]:
-        """One multinomial counts map per batch entry.
-
-        All entries are drawn with a single stacked multinomial over the
-        ``(B, 2^n)`` probability block — one RNG call instead of one per
-        entry (equivalent in distribution; the stream is consumed in a
-        different order than a per-entry loop).
-        """
-        if len(shots_per_entry) != self.batch:
-            raise ValueError("need one shot count per batch entry")
-        shots = np.asarray(shots_per_entry, dtype=np.int64)
-        if np.any(shots <= 0):
-            raise ValueError("shots must be positive")
-        probs = np.clip(self.probabilities(), 0.0, None)
-        totals = probs.sum(axis=1, keepdims=True)
-        if np.any(totals <= 0):
-            raise ValueError("probability vector sums to zero")
-        draws = rng.multinomial(shots, probs / totals)
-        rows, cols = np.nonzero(draws)
-        out: list[Counts] = [{} for _ in range(self.batch)]
-        for b, k in zip(rows, cols):
-            out[b][int(k)] = int(draws[b, k])
-        return out

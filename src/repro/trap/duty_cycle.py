@@ -9,7 +9,7 @@ raises operational uptime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["DutyCycleBreakdown", "improved_duty_cycle"]
 

@@ -42,7 +42,7 @@ from ..sim.sampling import (
     sample_bernoulli_counts_batch,
     sample_counts_from_probs,
 )
-from ..sim.dense_plan import DensePlan, DensePlanCache
+from ..sim.dense_plan import DensePlan, DensePlanCache, Skeleton
 from ..sim.statevector import (
     MAX_DENSE_QUBITS,
     StatevectorSimulator,
@@ -557,21 +557,33 @@ class VirtualIonTrap:
             self.stats.dense_plan_builds += 1
             plan = DensePlan(self.n_qubits, skeleton, fuse=False)
         else:
-            plan, hit = self._dense_plans.get(self.n_qubits, skeleton)
-            rebinds = self._dense_plans.take_rebinds()
-            self.stats.dense_plan_rebinds += rebinds
-            if hit:
-                self.stats.dense_plan_hits += 1
-            elif not rebinds:
-                self.stats.dense_plan_builds += 1
-            self.stats.dense_plan_invalidations += (
-                self._dense_plans.take_invalidations()
-            )
+            plan = self._cached_dense_plan(self._dense_plans, skeleton)
         if plan.n_local > MAX_DENSE_QUBITS:
             raise ValueError(
                 f"circuit touches {plan.n_local} qubits; run_match handles "
                 "larger XX-only tests"
             )
+        return plan
+
+    def _cached_dense_plan(
+        self, cache: DensePlanCache, skeleton: Skeleton
+    ) -> DensePlan:
+        """Look ``skeleton`` up in ``cache``, counting the outcome in stats.
+
+        The single bookkeeping path for both plan caches (the machine's
+        own and a :class:`CompiledBattery`'s): a hit, a rebind (a clone of
+        a cached plan with the same canonical skeleton) or a build lands
+        in :class:`MachineStats`, together with the entries the cache
+        invalidated since the last lookup.
+        """
+        plan, hit = cache.get(self.n_qubits, skeleton)
+        rebinds = cache.take_rebinds()
+        self.stats.dense_plan_rebinds += rebinds
+        if hit:
+            self.stats.dense_plan_hits += 1
+        elif not rebinds:
+            self.stats.dense_plan_builds += 1
+        self.stats.dense_plan_invalidations += cache.take_invalidations()
         return plan
 
     def _dense_match_probabilities_slots(
@@ -699,21 +711,6 @@ class VirtualIonTrap:
         self.stats.two_qubit_gates += n2q * shots
         self.stats.quantum_seconds += self.timing.circuit_run_time(
             n2q, self.n_qubits, shots
-        )
-
-    # -- compiled batteries ----------------------------------------------------------
-
-    def compile_battery(
-        self, items: list[tuple[Circuit, int]]
-    ) -> "CompiledBattery":
-        """Compile ``(circuit, expected)`` tests against this machine's limits.
-
-        The returned battery is machine-independent (it caches only
-        circuit-static structure); this convenience simply threads the
-        machine's ``max_exact_qubits`` into compilation.
-        """
-        return CompiledBattery(
-            self.n_qubits, items, max_exact_qubits=self.max_exact_qubits
         )
 
 
@@ -1273,16 +1270,7 @@ class CompiledBattery:
             # error sources): the exact XX path is cheaper.
             return machine._match_probabilities_slots(slots, ct.expected)
         skeleton = tuple((s.gate, s.qubits) for s in slots)
-        plan, hit = self._dense_plans.get(self.n_qubits, skeleton)
-        rebinds = self._dense_plans.take_rebinds()
-        machine.stats.dense_plan_rebinds += rebinds
-        if hit:
-            machine.stats.dense_plan_hits += 1
-        elif not rebinds:
-            machine.stats.dense_plan_builds += 1
-        machine.stats.dense_plan_invalidations += (
-            self._dense_plans.take_invalidations()
-        )
+        plan = machine._cached_dense_plan(self._dense_plans, skeleton)
         return plan.probabilities(
             [s.params for s in slots], ct.expected, machine.max_batch_bytes
         )

@@ -16,7 +16,7 @@ from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.noise.models import NoiseParameters
 from repro.sim.circuit import Circuit, Operation
 from repro.sim.xx_engine import XXCircuitEvaluator
-from repro.trap.machine import VirtualIonTrap
+from repro.trap.machine import CompiledBattery, VirtualIonTrap
 
 
 def _reference_probabilities(battery, index, xi, under):
@@ -136,7 +136,7 @@ def test_battery_dispatches_and_rejects_appropriately():
     # A dense-only circuit compiles without a contraction plan and still
     # evaluates through the dense dispatch.
     dense = Circuit(4).h(0)
-    dense_battery = VirtualIonTrap(4, seed=0).compile_battery([(dense, 0)])
+    dense_battery = CompiledBattery(4, [(dense, 0)])
     assert dense_battery.tests[0].plan is None
     with pytest.raises(ValueError, match="without an XX contraction plan"):
         dense_battery.probabilities_from_noise(
@@ -158,7 +158,7 @@ def test_deterministic_machine_matches_realized_evaluator():
         n_qubits, noise=NoiseParameters.noiseless(), seed=0
     )
     machine.set_under_rotation((0, 1), 0.3)
-    battery = machine.compile_battery([(circuit, expected)])
+    battery = CompiledBattery(n_qubits, [(circuit, expected)])
     ct = battery.tests[0]
     xi = np.zeros((ct.slot_theta.size, 1))
     under = battery._current_under(machine, ct)

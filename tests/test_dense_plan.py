@@ -11,6 +11,7 @@ rebuilds.
 
 import numpy as np
 import pytest
+from conftest import dense_reference
 
 from repro.analysis.experiments.fig6 import battery_specs
 from repro.core.protocol import compile_test_battery, execute_compiled_battery
@@ -19,7 +20,6 @@ from repro.noise.models import NoiseParameters
 from repro.sim import statevector
 from repro.sim.circuit import Circuit
 from repro.sim.dense_plan import DensePlan, DensePlanCache, canonical_skeleton
-from repro.sim.statevector import StatevectorSimulator, subregister_bitstring
 from repro.trap.machine import VirtualIonTrap
 
 
@@ -40,24 +40,6 @@ def _fig7_noise() -> NoiseParameters:
     )
 
 
-def _reference_probabilities(machine, slots, plan, expected):
-    """Per-realization dense evolution of the same realized draws."""
-    sub, forced_zero = subregister_bitstring(
-        machine.n_qubits, plan.touched, expected
-    )
-    if forced_zero:
-        return np.zeros(slots[0].params.shape[0])
-    probs = []
-    for circuit in machine._slots_to_circuits(slots):
-        sim = StatevectorSimulator(plan.n_local)
-        for op in circuit.ops:
-            sim.apply_gate(
-                op.matrix(), tuple(plan.index[q] for q in op.qubits)
-            )
-        probs.append(sim.probability_of(sub))
-    return np.array(probs)
-
-
 @pytest.mark.parametrize("repetitions", [2, 4])
 def test_dense_plan_matches_reference_on_fig6_battery(repetitions):
     """Fig6 batteries under the full error model: fused == reference, 1e-9."""
@@ -72,7 +54,7 @@ def test_dense_plan_matches_reference_on_fig6_battery(repetitions):
         skeleton = tuple((s.gate, s.qubits) for s in slots)
         plan = DensePlan(n_qubits, skeleton)
         compiled = plan.probabilities([s.params for s in slots], expected)
-        reference = _reference_probabilities(machine, slots, plan, expected)
+        reference = dense_reference(machine, slots, plan, expected)
         assert np.max(np.abs(compiled - reference)) < 1e-9, spec.name
 
 
@@ -95,7 +77,7 @@ def test_dense_plan_matches_reference_on_fig7_drift_scenario(rng):
         skeleton = tuple((s.gate, s.qubits) for s in slots)
         plan = DensePlan(n_qubits, skeleton)
         compiled = plan.probabilities([s.params for s in slots], expected)
-        reference = _reference_probabilities(machine, slots, plan, expected)
+        reference = dense_reference(machine, slots, plan, expected)
         assert np.max(np.abs(compiled - reference)) < 1e-9, spec.name
 
 
@@ -227,7 +209,7 @@ def test_structural_rebind_matches_fresh_compile():
     params = [s.params for s in slots_b]
     rebound_probs = plan_b.probabilities(params, expected_b)
     assert np.array_equal(rebound_probs, fresh.probabilities(params, expected_b))
-    reference = _reference_probabilities(machine, slots_b, plan_b, expected_b)
+    reference = dense_reference(machine, slots_b, plan_b, expected_b)
     assert np.max(np.abs(rebound_probs - reference)) < 1e-9
 
 
@@ -295,34 +277,6 @@ def test_execute_compiled_battery_rejects_mismatched_batteries():
         execute_compiled_battery(machine, specs, battery=reordered, shots=50)
 
 
-def test_vectorized_sample_counts_per_entry():
-    """One stacked multinomial: shot conservation, determinism, validation."""
-    from repro.sim.statevector import BatchedStatevectorSimulator
-
-    sim = BatchedStatevectorSimulator(2, 3)
-    sim.states = np.array(
-        [
-            [np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.5, 0.5, 0.5, 0.5],
-        ],
-        dtype=complex,
-    )
-    counts = sim.sample_counts_per_entry(
-        [100, 50, 200], np.random.default_rng(0)
-    )
-    assert [sum(c.values()) for c in counts] == [100, 50, 200]
-    assert counts[1] == {1: 50}
-    again = sim.sample_counts_per_entry(
-        [100, 50, 200], np.random.default_rng(0)
-    )
-    assert counts == again
-    with pytest.raises(ValueError, match="one shot count"):
-        sim.sample_counts_per_entry([10, 10], np.random.default_rng(0))
-    with pytest.raises(ValueError, match="positive"):
-        sim.sample_counts_per_entry([10, 0, 10], np.random.default_rng(0))
-
-
 def test_single_slot_chain_matches_reference():
     """A one-gate skeleton (link chain of length 1) compiles and is exact."""
     n_qubits = 5
@@ -335,7 +289,7 @@ def test_single_slot_chain_matches_reference():
     # Only the touched pair survives compaction.
     assert plan.n_local == 2
     compiled = plan.probabilities([s.params for s in slots], 0)
-    reference = _reference_probabilities(machine, slots, plan, 0)
+    reference = dense_reference(machine, slots, plan, 0)
     assert np.max(np.abs(compiled - reference)) < 1e-9
 
 
@@ -358,7 +312,7 @@ def test_two_qubit_register_end_to_end():
     plan = DensePlan(n_qubits, skeleton)
     assert plan.n_local == 2
     compiled = plan.probabilities([s.params for s in slots], 0b11)
-    reference = _reference_probabilities(machine, slots, plan, 0b11)
+    reference = dense_reference(machine, slots, plan, 0b11)
     assert np.max(np.abs(compiled - reference)) < 1e-9
     counts = machine.run_match(circuit, 0b11, shots=80)
     assert sum(counts.values()) == 80
@@ -399,19 +353,3 @@ def test_tiny_byte_bound_with_plan_cache_eviction_stays_exact():
             )
             assert np.array_equal(chunked, reference)
     assert len(cache) == 1
-
-
-def test_fig6_compiled_and_reference_paths_run():
-    """Both fig6 paths produce full row sets with finite fidelities."""
-    from repro.analysis.experiments.fig6 import Fig6Config, run_fig6
-
-    rows = {}
-    for compiled in (True, False):
-        cfg = Fig6Config(shots=60, compiled=compiled)
-        result = run_fig6(cfg)
-        rows[compiled] = result.rows
-        assert all(0.0 <= r.fidelity <= 1.0 for r in result.rows)
-    assert len(rows[True]) == len(rows[False])
-    assert [r.test_name for r in rows[True]] == [
-        r.test_name for r in rows[False]
-    ]

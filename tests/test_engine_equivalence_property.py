@@ -16,10 +16,10 @@ engine bug, not sampling noise.
 
 import numpy as np
 import pytest
+from conftest import dense_reference
 
 from repro.noise.models import NoiseParameters
 from repro.sim.dense_plan import DensePlan
-from repro.sim.statevector import StatevectorSimulator, subregister_bitstring
 from repro.sim.xx_engine import XXCircuitEvaluator
 from repro.sim.circuit import Circuit
 from repro.trap.calibration import all_pairs
@@ -58,24 +58,6 @@ def _random_faulty_machine(
     return machine
 
 
-def _dense_reference(machine, slots, plan, expected) -> np.ndarray:
-    """Per-realization dense evolution of the identical realized draws."""
-    sub, forced_zero = subregister_bitstring(
-        machine.n_qubits, plan.touched, expected
-    )
-    if forced_zero:
-        return np.zeros(slots[0].params.shape[0])
-    probs = []
-    for circuit in machine._slots_to_circuits(slots):
-        sim = StatevectorSimulator(plan.n_local)
-        for op in circuit.ops:
-            sim.apply_gate(
-                op.matrix(), tuple(plan.index[q] for q in op.qubits)
-            )
-        probs.append(sim.probability_of(sub))
-    return np.array(probs)
-
-
 @pytest.mark.parametrize("case", range(6))
 def test_random_circuits_agree_across_all_three_engines(case, rng):
     """XX engine == dense per-trial == DensePlan on shared draws, 1e-9."""
@@ -89,7 +71,7 @@ def test_random_circuits_agree_across_all_three_engines(case, rng):
     realized = machine._slots_to_circuits(slots)
     for expected in (0, int(rng.integers(0, 2**n_qubits))):
         compiled = plan.probabilities([s.params for s in slots], expected)
-        dense = _dense_reference(machine, slots, plan, expected)
+        dense = dense_reference(machine, slots, plan, expected)
         xx = np.array(
             [XXCircuitEvaluator(c).probability_of(expected) for c in realized]
         )

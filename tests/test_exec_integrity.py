@@ -7,8 +7,11 @@ harness uses to compare faulty runs against fault-free baselines.
 
 import json
 
+import pytest
+
 from repro.exec.integrity import (
     QUARANTINE_DIRNAME,
+    atomic_write_json,
     load_verified_json,
     payload_checksum,
     stamp_integrity,
@@ -31,6 +34,27 @@ def test_stamp_verify_round_trip(tmp_path):
     loaded, status = load_verified_json(path, tmp_path)
     assert status == "ok"
     assert loaded == payload
+
+
+def test_atomic_write_json_bytes(tmp_path):
+    """Indented, key-sorted JSON without a trailing newline."""
+    payload = {"b": [1.5, None], "a": {"z": 1, "y": "s"}}
+    path = tmp_path / "sub" / "entry.json"
+    atomic_write_json(path, payload)
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True)
+    assert [p.name for p in path.parent.iterdir()] == ["entry.json"]
+
+
+def test_atomic_write_json_failure_keeps_old_file(tmp_path):
+    """A payload that fails to serialize leaves the old file and no temp."""
+    path = tmp_path / "entry.json"
+    atomic_write_json(path, {"version": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        atomic_write_json(path, {"version": 2, "bad": object()})
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
 
 
 def test_legacy_entries_without_stamp_are_accepted(tmp_path):

@@ -17,13 +17,13 @@ sampling noise.
 
 import numpy as np
 import pytest
+from conftest import dense_reference
 
 from repro.core.multi_fault import battery_specs
 from repro.core.protocol import compile_test_battery
 from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.scenarios.spec import SCENARIO_KINDS, build_scenario
 from repro.sim.dense_plan import DensePlan
-from repro.sim.statevector import StatevectorSimulator, subregister_bitstring
 from repro.sim.xx_engine import XXCircuitEvaluator
 from repro.trap.machine import VirtualIonTrap
 
@@ -56,24 +56,6 @@ def _fault_test(spec, machine, repetitions):
     raise AssertionError("battery must cover the faulty coupling")
 
 
-def _dense_reference(machine, slots, plan, expected) -> np.ndarray:
-    """Per-realization dense evolution of the identical realized draws."""
-    sub, forced_zero = subregister_bitstring(
-        machine.n_qubits, plan.touched, expected
-    )
-    if forced_zero:
-        return np.zeros(slots[0].params.shape[0])
-    probs = []
-    for circuit in machine._slots_to_circuits(slots):
-        sim = StatevectorSimulator(plan.n_local)
-        for op in circuit.ops:
-            sim.apply_gate(
-                op.matrix(), tuple(plan.index[q] for q in op.qubits)
-            )
-        probs.append(sim.probability_of(sub))
-    return np.array(probs)
-
-
 @pytest.mark.parametrize("repetitions", [2, 4])
 @pytest.mark.parametrize("n_qubits", [4, 6])
 @pytest.mark.parametrize("kind", XX_KINDS)
@@ -91,7 +73,7 @@ def test_xx_scenarios_agree_across_all_three_engines(
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
     compiled = plan.probabilities([s.params for s in slots], expected)
-    dense = _dense_reference(machine, slots, plan, expected)
+    dense = dense_reference(machine, slots, plan, expected)
     assert xx.shape == compiled.shape == dense.shape == (REALIZATIONS,)
     assert np.max(np.abs(xx - compiled)) < 1e-9
     assert np.max(np.abs(xx - dense)) < 1e-9
@@ -164,7 +146,7 @@ def test_non_xx_scenario_dense_plan_matches_per_trial_reference(kind):
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
     compiled = plan.probabilities([s.params for s in slots], expected)
-    dense = _dense_reference(machine, slots, plan, expected)
+    dense = dense_reference(machine, slots, plan, expected)
     assert np.max(np.abs(compiled - dense)) < 1e-9
 
 
